@@ -1,16 +1,21 @@
 """Command-line front end: every computation as a subcommand with file outputs.
 
 Runs are reproducible: a fixed parameter set (plus seed where sampling is
-involved) produces byte-identical output files.  CSV outputs start with a
-provenance block of ``# key = value`` lines echoing the resolved parameters,
-defaults included; JSON outputs mirror the same fields under a ``config``
-entry.  Relative output paths land under ``$BOSECYCLES_OUTDIR`` when set.
+involved) produces byte-identical output files.  Every subcommand writes
+its file through one emitter: a CSV output starts with a provenance block
+of ``# key = value`` lines echoing the resolved parameters, defaults
+included, and a JSON output holds the same fields, in the same order,
+under its ``config`` entry.  The output path is opened only once the whole
+file is rendered, so a failed run leaves any earlier file in place.  Relative output paths land
+under ``$BOSECYCLES_OUTDIR`` when set.
 
 Parameters can come from a plain-text config file (``key = value`` lines,
-``#`` comments) named with ``--config``; command-line flags win over file
-entries.  The system is fixed by exactly one of ``--L``, ``--rho``,
-``--rho-lambda3`` together with ``--N``, and at most one of ``--beta``,
-``--lam`` (neither means lam = 1).
+``#`` comments) named with ``--config``.  Each entry is parsed as the flag
+of the same name (``--key=value``, underscores as dashes), so it meets the
+same type and choice checks; command-line flags win over file entries.
+The system is fixed by exactly one of ``--L``, ``--rho``, ``--rho-lambda3``
+together with ``--N``, and at most one of ``--beta``, ``--lam`` (neither
+means lam = 1).
 
 Exit codes: 0 success, 2 invalid usage or configuration, 3 numeric or
 tolerance failure.
@@ -19,10 +24,13 @@ tolerance failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +38,9 @@ import numpy as np
 from .coupling import (
     CouplingParams,
     census_rows,
-    census_to_csv,
     coupling_sweep,
     enumerate_merger_graphs,
     optimize_coupling,
-    sweep_to_csv,
 )
 from .cycle_engine import (
     SystemParams,
@@ -46,8 +52,8 @@ from .cycle_engine import (
     sample_cycle_type,
 )
 from .potentials import gaussian_potential, free_energy_bounds, load_potential
-from .thermo import finite_size_scan, ideal_point, scan_to_csv, scan_to_json_dict
-from .wavefunctions import CycleWaveParams, profile_to_csv, wave_profile
+from .thermo import ScanRow, finite_size_scan, ideal_point
+from .wavefunctions import CycleWaveParams, wave_profile
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -87,41 +93,6 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# one converter per option name, shared by flags and config files
-_OPTION_TYPES = {
-    "d": int,
-    "N": int,
-    "L": float,
-    "rho": float,
-    "rho_lambda3": float,
-    "beta": float,
-    "lam": float,
-    "eps": float,
-    "weights": str,
-    "seed": int,
-    "draws": int,
-    "potential": str,
-    "c_u": float,
-    "N_list": _int_list,
-    "vertices": int,
-    "max_multiplicity": int,
-    "cross_check": _bool,
-    "c": float,
-    "rho_v": float,
-    "c1": float,
-    "num": int,
-    "max_n": int,
-    "trials": int,
-    "tol": float,
-    "n": int,
-    "y": _float_list,
-    "xbar": _float_list,
-    "axis": int,
-    "output": str,
-    "format": str,
-}
-
-
 def _read_config(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     with open(path) as fp:
@@ -136,18 +107,14 @@ def _read_config(path: str) -> dict[str, str]:
     return entries
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from the config file; flags given on the line win."""
-    if getattr(args, "config", None) is None:
-        return
+def _config_tokens(args: argparse.Namespace) -> list[str]:
+    """The config file's entries as ``--key=value`` flags of this subcommand."""
+    tokens = []
     for key, text in _read_config(args.config).items():
         if key in ("config", "func", "command") or not hasattr(args, key):
             raise ConfigError(f"unknown config key for this subcommand: {key!r}")
-        if getattr(args, key) is None:
-            try:
-                setattr(args, key, _OPTION_TYPES[key](text))
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
+        tokens.append(f"--{key.replace('_', '-')}={text}")
+    return tokens
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +141,7 @@ def _resolve_density(args, lam: float) -> float:
     if len(given) != 1:
         raise ConfigError("give exactly one of --rho and --rho-lambda3")
     if args.rho_lambda3 is not None:
-        if args.d is not None and args.d != 3:
+        if args.d != 3:
             raise ConfigError("--rho-lambda3 fixes rho*lam^3, so it requires d = 3; use --rho")
         rho = args.rho_lambda3 / lam**3
     else:
@@ -188,14 +155,13 @@ def _resolve_system(args) -> SystemParams:
     """N plus exactly one of --L/--rho/--rho-lambda3 fix the box."""
     if args.N is None:
         raise ConfigError("--N is required")
-    d = 3 if args.d is None else args.d
     beta, lam = _resolve_thermal(args)
     given = [v for v in (args.L, args.rho, args.rho_lambda3) if v is not None]
     if len(given) != 1:
         raise ConfigError("give exactly one of --L, --rho, --rho-lambda3")
     if args.L is not None:
-        return SystemParams(d=d, L=args.L, N=args.N, beta=beta)
-    return SystemParams.from_density(d, args.N, _resolve_density(args, lam), beta)
+        return SystemParams(d=args.d, L=args.L, N=args.N, beta=beta)
+    return SystemParams.from_density(args.d, args.N, _resolve_density(args, lam), beta)
 
 
 def _load_weight_file(path: str, N: int) -> WeightSequence:
@@ -250,8 +216,7 @@ def _resolve_potential(spec: str, d: int):
 
 
 def _output_path(args, stem: str) -> Path:
-    fmt = args.format or "csv"
-    path = Path(args.output if args.output else f"{stem}.{fmt}")
+    path = Path(args.output if args.output else f"{stem}.{args.format}")
     if not path.is_absolute():
         outdir = os.environ.get(OUTDIR_ENV)
         if outdir:
@@ -260,22 +225,45 @@ def _output_path(args, stem: str) -> Path:
     return path
 
 
-def _comment_value(value) -> str:
+def _cell(value) -> str:
+    """One rendering for provenance values and CSV cells: float as repr,
+    None as empty, a list as its comma-joined items, the rest as str."""
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (list, tuple)):
-        return ",".join(_comment_value(v) for v in value)
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ",".join(map(_cell, value))
     return str(value)
 
 
-def _comment_block(config: dict) -> dict:
-    return {key: _comment_value(val) for key, val in config.items()}
+def _columns(header, rows) -> dict:
+    """Column-wise JSON form of row-wise data: {name: [values]}."""
+    return {name: list(col) for name, col in zip(header, zip(*rows))}
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fp:
-        json.dump(payload, fp, indent=2)
-        fp.write("\n")
+def _emit(args, config: dict, header, rows, payload: dict) -> Path:
+    """Write the run's output file and return its path.
+
+    CSV: ``config`` as ``# key = value`` lines, the header, then ``rows``
+    (any iterable, consumed once).  JSON: ``{"config": config, **payload}``.
+    The whole file is rendered into an anonymous temporary file before the
+    output path is opened, so a run that fails while producing rows leaves
+    no file behind and an earlier file untouched.
+    """
+    with tempfile.TemporaryFile("w+") as tmp:
+        if args.format == "json":
+            json.dump({"config": config, **payload}, tmp, indent=2)
+            tmp.write("\n")
+        else:
+            tmp.writelines(f"# {key} = {_cell(val)}\n" for key, val in config.items())
+            tmp.write(",".join(header) + "\n")
+            tmp.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+        tmp.seek(0)
+        path = _output_path(args, config["command"])
+        with open(path, "w") as fp:
+            shutil.copyfileobj(tmp, fp)
+    return path
 
 
 # ----------------------------------------------------------------------
@@ -284,14 +272,13 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_spectrum(args) -> int:
     params = _resolve_system(args)
-    eps = 0.01 if args.eps is None else args.eps
     if args.weights is None:
         weights = WeightSequence.ideal(params)
     else:
         weights = _load_weight_file(args.weights, params.N)
     table = build_partition_table(params, weights)
     spectrum = cycle_density_spectrum(table)
-    agg = aggregate_macroscopic(spectrum, eps)
+    agg = aggregate_macroscopic(spectrum, args.eps)
     config = {
         "command": "spectrum",
         "d": params.d,
@@ -300,23 +287,19 @@ def cmd_spectrum(args) -> int:
         "rho": params.rho,
         "beta": params.beta,
         "lam": params.lam,
-        "eps": eps,
+        "eps": args.eps,
         "weights": args.weights if args.weights else "ideal",
     }
-    path = _output_path(args, "spectrum")
-    if (args.format or "csv") == "csv":
-        with open(path, "w") as fp:
-            spectrum.to_csv(fp, comments=_comment_block(config))
-    else:
-        _write_json(
-            path,
-            {
-                "config": config,
-                **spectrum.to_json_dict(),
-                "macro_fraction": agg.macro / params.rho,
-                "band_fraction": agg.band / params.rho,
-            },
-        )
+    header = ("n", "rho_n", "rho_n_over_rho")
+    rows = list(spectrum.rows())
+    payload = {
+        "N": params.N,
+        "rho": spectrum.rho,
+        **_columns(header, rows),
+        "macro_fraction": agg.macro / params.rho,
+        "band_fraction": agg.band / params.rho,
+    }
+    path = _emit(args, config, header, rows, payload)
     print(f"N = {params.N}  d = {params.d}  rho_lam_d = {params.rho_lam_d!r}")
     print(f"macro_fraction = {agg.macro / params.rho!r}")
     print(f"band_fraction = {agg.band / params.rho!r}")
@@ -327,26 +310,19 @@ def cmd_spectrum(args) -> int:
 def cmd_scan(args) -> int:
     if args.N_list is None or not args.N_list:
         raise ConfigError("--N-list is required (comma-separated system sizes)")
-    d = 3 if args.d is None else args.d
     beta, lam = _resolve_thermal(args)
     rho = _resolve_density(args, lam)
-    eps = 0.01 if args.eps is None else args.eps
-    rows = finite_size_scan(rho, beta, d, args.N_list, eps)
+    rows = finite_size_scan(rho, beta, args.d, args.N_list, args.eps)
     config = {
         "command": "scan",
-        "d": d,
+        "d": args.d,
         "N_list": args.N_list,
         "rho": rho,
         "beta": beta,
         "lam": lam,
-        "eps": eps,
+        "eps": args.eps,
     }
-    path = _output_path(args, "scan")
-    if (args.format or "csv") == "csv":
-        with open(path, "w") as fp:
-            scan_to_csv(rows, fp, comments=_comment_block(config))
-    else:
-        _write_json(path, {"config": config, **scan_to_json_dict(rows)})
+    path = _emit(args, config, ScanRow._fields, rows, _columns(ScanRow._fields, rows))
     for row in rows:
         print(
             f"N = {row.N}  macro_fraction = {row.macro_fraction!r}  "
@@ -357,11 +333,10 @@ def cmd_scan(args) -> int:
 
 
 def cmd_mu(args) -> int:
-    d = 3 if args.d is None else args.d
     beta, lam = _resolve_thermal(args)
     rho = _resolve_density(args, lam)
-    point = ideal_point(rho, beta, d)
-    config = {"command": "mu", "d": d, "rho": rho, "beta": beta, "lam": lam}
+    point = ideal_point(rho, beta, args.d)
+    config = {"command": "mu", "d": args.d, "rho": rho, "beta": beta, "lam": lam}
     fields = {
         "mu": point.mu,
         "f0": point.f0,
@@ -369,15 +344,7 @@ def cmd_mu(args) -> int:
         "critical_density": point.critical_density,
         "rho_lam_d": point.rho_lam_d,
     }
-    path = _output_path(args, "mu")
-    if (args.format or "csv") == "csv":
-        with open(path, "w") as fp:
-            for key, val in _comment_block(config).items():
-                fp.write(f"# {key} = {val}\n")
-            fp.write(",".join(fields) + "\n")
-            fp.write(",".join(repr(v) for v in fields.values()) + "\n")
-    else:
-        _write_json(path, {"config": config, **fields})
+    path = _emit(args, config, fields, [fields.values()], fields)
     for key, val in fields.items():
         print(f"{key} = {val!r}")
     print(f"wrote {path}")
@@ -387,14 +354,13 @@ def cmd_mu(args) -> int:
 def cmd_bounds(args) -> int:
     if args.potential is None:
         raise ConfigError("--potential is required (gaussian:g,sigma or a definition file)")
-    d = 3 if args.d is None else args.d
     beta, lam = _resolve_thermal(args)
     rho = _resolve_density(args, lam)
-    pot = _resolve_potential(args.potential, d)
+    pot = _resolve_potential(args.potential, args.d)
     fb = free_energy_bounds(rho, beta, pot, c_u=args.c_u)
     config = {
         "command": "bounds",
-        "d": d,
+        "d": args.d,
         "rho": rho,
         "beta": beta,
         "lam": lam,
@@ -407,15 +373,7 @@ def cmd_bounds(args) -> int:
         "f_tilde_lower": fb.f_tilde.lower,
         "f_tilde_upper": fb.f_tilde.upper,
     }
-    path = _output_path(args, "bounds")
-    if (args.format or "csv") == "csv":
-        with open(path, "w") as fp:
-            for key, val in _comment_block(config).items():
-                fp.write(f"# {key} = {val}\n")
-            fp.write(",".join(fields) + "\n")
-            fp.write(",".join(repr(v) for v in fields.values()) + "\n")
-    else:
-        _write_json(path, {"config": config, **fields})
+    path = _emit(args, config, fields, [fields.values()], fields)
     print(f"f: {fb.f.lower!r} <= {fb.f.upper!r}")
     print(f"f_tilde: {fb.f_tilde.lower!r} <= {fb.f_tilde.upper!r}")
     print(f"wrote {path}")
@@ -424,17 +382,15 @@ def cmd_bounds(args) -> int:
 
 def cmd_sample(args) -> int:
     params = _resolve_system(args)
-    seed = 0 if args.seed is None else args.seed
-    draws = 1 if args.draws is None else args.draws
-    if draws < 1:
-        raise ConfigError(f"--draws must be >= 1, got {draws}")
+    if args.draws < 1:
+        raise ConfigError(f"--draws must be >= 1, got {args.draws}")
     if args.weights is None:
         weights = WeightSequence.ideal(params)
     else:
         weights = _load_weight_file(args.weights, params.N)
     table = build_partition_table(params, weights)
-    rng = np.random.default_rng(seed)
-    types = [sample_cycle_type(table, rng) for _ in range(draws)]
+    rng = np.random.default_rng(args.seed)
+    types = [sample_cycle_type(table, rng) for _ in range(args.draws)]
     config = {
         "command": "sample",
         "d": params.d,
@@ -443,60 +399,43 @@ def cmd_sample(args) -> int:
         "rho": params.rho,
         "beta": params.beta,
         "lam": params.lam,
-        "seed": seed,
-        "draws": draws,
+        "seed": args.seed,
+        "draws": args.draws,
         "weights": args.weights if args.weights else "ideal",
     }
-    path = _output_path(args, "sample")
-    if (args.format or "csv") == "csv":
-        with open(path, "w") as fp:
-            for key, val in _comment_block(config).items():
-                fp.write(f"# {key} = {val}\n")
-            fp.write("draw,n_cycles,lengths\n")
-            for i, ct in enumerate(types, start=1):
-                fp.write(f"{i},{len(ct.parts)},{' '.join(str(n) for n in ct.parts)}\n")
-    else:
-        _write_json(
-            path,
-            {"config": config, "draws_lengths": [list(ct.parts) for ct in types]},
-        )
+    rows = [(i, len(ct.parts), " ".join(map(str, ct.parts))) for i, ct in enumerate(types, start=1)]
+    payload = {"draws_lengths": [list(ct.parts) for ct in types]}
+    path = _emit(args, config, ("draw", "n_cycles", "lengths"), rows, payload)
     longest = [max(ct.parts) for ct in types]
-    print(f"draws = {draws}  N = {params.N}")
-    print(f"longest_cycle_mean_fraction = {sum(longest) / (draws * params.N)!r}")
+    print(f"draws = {args.draws}  N = {params.N}")
+    print(f"longest_cycle_mean_fraction = {sum(longest) / (args.draws * params.N)!r}")
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_merger(args) -> int:
-    vertices = 3 if args.vertices is None else args.vertices
-    max_mult = 3 if args.max_multiplicity is None else args.max_multiplicity
-    cross = bool(args.cross_check)
-    census = enumerate_merger_graphs(vertices, max_mult, cross_check=cross)
+    vertices, max_mult = args.vertices, args.max_multiplicity
+    census = enumerate_merger_graphs(vertices, max_mult, cross_check=args.cross_check)
     config = {
         "command": "merger",
         "vertices": vertices,
         "max_multiplicity": max_mult,
-        "cross_check": cross,
+        "cross_check": args.cross_check,
     }
-    path = _output_path(args, "merger")
-    if (args.format or "csv") == "csv":
-        with open(path, "w") as fp:
-            fp.write(f"# command = merger\n# cross_check = {cross}\n")
-            census_to_csv(fp, vertices, max_mult)
-    else:
-        payload = {
-            "config": config,
-            "total": census.total,
-            "admissible": census.admissible,
-            "k_histogram": {str(k): census.k_histogram[k] for k in sorted(census.k_histogram)},
-        }
-        # full row dump only at sizes where the JSON stays manageable
-        if census.total <= 65536:
-            payload["rows"] = [
-                {"multiplicities": list(mults), "delta": delta, "K": K}
-                for mults, delta, K in census_rows(vertices, max_mult)
-            ]
-        _write_json(path, payload)
+    header = [f"m{i}{j}" for i, j in itertools.combinations(range(vertices), 2)] + ["delta", "K"]
+    payload = {
+        "total": census.total,
+        "admissible": census.admissible,
+        "k_histogram": {str(k): census.k_histogram[k] for k in sorted(census.k_histogram)},
+    }
+    # full row dump only at sizes where the JSON stays manageable
+    if args.format == "json" and census.total <= 65536:
+        payload["rows"] = [
+            {"multiplicities": list(mults), "delta": delta, "K": K}
+            for mults, delta, K in census_rows(vertices, max_mult)
+        ]
+    rows = ((*mults, delta, K) for mults, delta, K in census_rows(vertices, max_mult))
+    path = _emit(args, config, header, rows, payload)
     hist = "  ".join(f"K={k}:{census.k_histogram[k]}" for k in sorted(census.k_histogram))
     print(f"graphs = {census.total}  admissible = {census.admissible}")
     print(hist)
@@ -509,14 +448,11 @@ def cmd_gain(args) -> int:
         if getattr(args, name) is None:
             raise ConfigError(f"--{name.replace('_', '-')} is required")
     _, lam = _resolve_thermal(args)
-    d = 3 if args.d is None else args.d
-    eps = 0.25 if args.eps is None else args.eps
-    c1 = 1.0 if args.c1 is None else args.c1
-    num = 101 if args.num is None else args.num
     params = CouplingParams(
-        c=args.c, rho_v=args.rho_v, lam=lam, rho=args.rho, d=d, eps=eps, c1=c1
+        c=args.c, rho_v=args.rho_v, lam=lam, rho=args.rho, d=args.d, eps=args.eps, c1=args.c1
     )
     opt = optimize_coupling(params)
+    rows = coupling_sweep(params, args.num)
     config = {
         "command": "gain",
         "c": params.c,
@@ -526,33 +462,19 @@ def cmd_gain(args) -> int:
         "d": params.d,
         "eps": params.eps,
         "c1": params.c1,
-        "num": num,
+        "num": args.num,
     }
-    path = _output_path(args, "gain")
-    if (args.format or "csv") == "csv":
-        with open(path, "w") as fp:
-            fp.write(f"# command = gain\n# num = {num}\n")
-            sweep_to_csv(fp, params, num)
-    else:
-        rows = coupling_sweep(params, num)
-        _write_json(
-            path,
-            {
-                "config": config,
-                "a_star": opt.a_star,
-                "C": opt.C,
-                "clamped": opt.clamped,
-                "rate_at_a_star": opt.rate_at_a_star,
-                "a_numeric": opt.a_numeric,
-                "rate_numeric": opt.rate_numeric,
-                "sweep": {
-                    "a": [r.a for r in rows],
-                    "gain": [r.gain for r in rows],
-                    "penalty": [r.penalty for r in rows],
-                    "total": [r.total for r in rows],
-                },
-            },
-        )
+    header = ("a", "gain", "penalty", "total")
+    payload = {
+        "a_star": opt.a_star,
+        "C": opt.C,
+        "clamped": opt.clamped,
+        "rate_at_a_star": opt.rate_at_a_star,
+        "a_numeric": opt.a_numeric,
+        "rate_numeric": opt.rate_numeric,
+        "sweep": _columns(header, rows),
+    }
+    path = _emit(args, config, header, rows, payload)
     print(f"a_star = {opt.a_star!r}  C = {opt.C!r}  clamped = {opt.clamped}")
     print(f"rate_at_a_star = {opt.rate_at_a_star!r}")
     print(f"numeric argmax: a = {opt.a_numeric!r}  rate = {opt.rate_numeric!r}")
@@ -561,20 +483,16 @@ def cmd_gain(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    max_n = 8 if args.max_n is None else args.max_n
-    trials = 5 if args.trials is None else args.trials
-    seed = 0 if args.seed is None else args.seed
-    tol = 1e-10 if args.tol is None else args.tol
-    if max_n < 1:
-        raise ConfigError(f"--max-n must be >= 1, got {max_n}")
-    if trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
+    if args.max_n < 1:
+        raise ConfigError(f"--max-n must be >= 1, got {args.max_n}")
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
-    for trial in range(1, trials + 1):
-        weights = WeightSequence.from_weights(rng.lognormal(0.0, 1.0, size=max_n))
-        for N in range(1, max_n + 1):
+    for trial in range(1, args.trials + 1):
+        weights = WeightSequence.from_weights(rng.lognormal(0.0, 1.0, size=args.max_n))
+        for N in range(1, args.max_n + 1):
             params = SystemParams(d=3, L=1.0, N=N, beta=1.0)
             table = build_partition_table(params, weights)
             exact = brute_force_partition_fn(weights, N)
@@ -583,33 +501,19 @@ def cmd_oracle(args) -> int:
             worst = max(worst, rel)
     config = {
         "command": "oracle",
-        "max_n": max_n,
-        "trials": trials,
-        "seed": seed,
-        "tol": tol,
+        "max_n": args.max_n,
+        "trials": args.trials,
+        "seed": args.seed,
+        "tol": args.tol,
     }
-    path = _output_path(args, "oracle")
-    if (args.format or "csv") == "csv":
-        with open(path, "w") as fp:
-            for key, val in _comment_block(config).items():
-                fp.write(f"# {key} = {val}\n")
-            fp.write("trial,N,rel_err\n")
-            for trial, N, rel in rows:
-                fp.write(f"{trial},{N},{rel!r}\n")
-    else:
-        _write_json(
-            path,
-            {
-                "config": config,
-                "worst_rel_err": worst,
-                "rows": [{"trial": t, "N": N, "rel_err": r} for t, N, r in rows],
-            },
-        )
-    print(f"worst_rel_err = {worst!r}  (tol {tol!r})")
+    header = ("trial", "N", "rel_err")
+    payload = {"worst_rel_err": worst, "rows": [dict(zip(header, row)) for row in rows]}
+    path = _emit(args, config, header, rows, payload)
+    print(f"worst_rel_err = {worst!r}  (tol {args.tol!r})")
     print(f"wrote {path}")
-    if worst > tol:
+    if worst > args.tol:
         print(
-            f"numeric failure: recursion deviates from enumeration by {worst!r} > {tol!r}",
+            f"numeric failure: recursion deviates from enumeration by {worst!r} > {args.tol!r}",
             file=sys.stderr,
         )
         return EXIT_NUMERIC
@@ -621,15 +525,8 @@ def cmd_wavefn(args) -> int:
         if getattr(args, name) is None:
             raise ConfigError(f"--{name} is required")
     _, lam = _resolve_thermal(args)
-    axis = 0 if args.axis is None else args.axis
-    num = 257 if args.num is None else args.num
-    params = CycleWaveParams(
-        n=args.n,
-        L=args.L,
-        lam=lam,
-        y=tuple(args.y),
-        xbar=() if args.xbar is None else tuple(args.xbar),
-    )
+    params = CycleWaveParams(n=args.n, L=args.L, lam=lam, y=tuple(args.y), xbar=tuple(args.xbar))
+    rows = wave_profile(params, axis=args.axis, num=args.num)
     config = {
         "command": "wavefn",
         "n": params.n,
@@ -637,26 +534,11 @@ def cmd_wavefn(args) -> int:
         "lam": params.lam,
         "y": list(params.y),
         "xbar": list(params.xbar),
-        "axis": axis,
-        "num": num,
+        "axis": args.axis,
+        "num": args.num,
     }
-    path = _output_path(args, "wavefn")
-    if (args.format or "csv") == "csv":
-        with open(path, "w") as fp:
-            fp.write(f"# command = wavefn\n# num = {num}\n")
-            profile_to_csv(fp, params, axis=axis, num=num)
-    else:
-        prof = wave_profile(params, axis=axis, num=num)
-        _write_json(
-            path,
-            {
-                "config": config,
-                "x": [row[0] for row in prof],
-                "re_psi": [row[1] for row in prof],
-                "im_psi": [row[2] for row in prof],
-                "abs2": [row[3] for row in prof],
-            },
-        )
+    header = ("x", "re_psi", "im_psi", "abs2")
+    path = _emit(args, config, header, rows, _columns(header, rows))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -668,7 +550,9 @@ def cmd_wavefn(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value file; flags given here win")
     p.add_argument("--output", "-o", help="output file (default <command>.<format>)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+    p.add_argument(
+        "--format", choices=("csv", "json"), default="csv", help="output format (default csv)"
+    )
 
 
 def _add_thermal(p: argparse.ArgumentParser) -> None:
@@ -677,7 +561,7 @@ def _add_thermal(p: argparse.ArgumentParser) -> None:
 
 
 def _add_system(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d", type=int, help="dimension (default 3)")
+    p.add_argument("--d", type=int, default=3, help="dimension (default 3)")
     p.add_argument("--N", type=int, help="particle number")
     p.add_argument("--L", type=float, help="box side (exactly one of L/rho/rho-lambda3)")
     p.add_argument("--rho", type=float, help="number density")
@@ -694,23 +578,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="cycle-density spectrum rho_n for one system")
     _add_system(p)
-    p.add_argument("--eps", type=float, help="macroscopic-cycle threshold eps*N (default 0.01)")
+    p.add_argument(
+        "--eps", type=float, default=0.01, help="macroscopic-cycle threshold eps*N (default 0.01)"
+    )
     p.add_argument("--weights", help="CSV of custom cycle weights (n,w), used verbatim")
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("scan", help="macro/band fractions over a ladder of N at fixed density")
-    p.add_argument("--d", type=int, help="dimension (default 3)")
+    p.add_argument("--d", type=int, default=3, help="dimension (default 3)")
     p.add_argument("--N-list", dest="N_list", type=_int_list, help="comma-separated sizes")
     p.add_argument("--rho", type=float, help="number density")
     p.add_argument("--rho-lambda3", dest="rho_lambda3", type=float, help="rho*lam^3 (d = 3)")
     _add_thermal(p)
-    p.add_argument("--eps", type=float, help="macroscopic-cycle threshold (default 0.01)")
+    p.add_argument("--eps", type=float, default=0.01, help="macroscopic-cycle threshold (default 0.01)")
     _add_common(p)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("mu", help="ideal-gas chemical potential and condensate fraction")
-    p.add_argument("--d", type=int, help="dimension (default 3)")
+    p.add_argument("--d", type=int, default=3, help="dimension (default 3)")
     p.add_argument("--rho", type=float, help="number density")
     p.add_argument("--rho-lambda3", dest="rho_lambda3", type=float, help="rho*lam^3 (d = 3)")
     _add_thermal(p)
@@ -718,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mu)
 
     p = sub.add_parser("bounds", help="free-energy sandwich for an interacting gas")
-    p.add_argument("--d", type=int, help="dimension (default 3)")
+    p.add_argument("--d", type=int, default=3, help="dimension (default 3)")
     p.add_argument("--rho", type=float, help="number density")
     p.add_argument("--rho-lambda3", dest="rho_lambda3", type=float, help="rho*lam^3 (d = 3)")
     _add_thermal(p)
@@ -729,25 +615,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="exact cycle-type draws from the canonical distribution")
     _add_system(p)
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p.add_argument("--draws", type=int, help="number of cycle types to draw (default 1)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--draws", type=int, default=1, help="number of cycle types to draw (default 1)")
     p.add_argument("--weights", help="CSV of custom cycle weights (n,w), used verbatim")
     _add_common(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("merger", help="census of admissible merger multigraphs")
-    p.add_argument("--vertices", type=int, help="number of cycles/vertices (default 3, max 5)")
+    p.add_argument(
+        "--vertices", type=int, default=3, help="number of cycles/vertices (default 3, max 5)"
+    )
     p.add_argument(
         "--max-multiplicity",
         dest="max_multiplicity",
         type=int,
+        default=3,
         help="largest edge multiplicity (default 3)",
     )
     p.add_argument(
         "--cross-check",
         dest="cross_check",
-        action="store_true",
-        default=None,
+        type=_bool,
+        nargs="?",
+        const=True,
+        default=False,
+        metavar="BOOL",
         help="verify every orbit against the circle-decomposition search",
     )
     _add_common(p)
@@ -757,19 +649,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, help="coupled fraction of particles")
     p.add_argument("--rho-v", dest="rho_v", type=float, help="weight scale rho*v")
     p.add_argument("--rho", type=float, help="number density")
-    p.add_argument("--d", type=int, help="dimension (default 3)")
+    p.add_argument("--d", type=int, default=3, help="dimension (default 3)")
     _add_thermal(p)
-    p.add_argument("--eps", type=float, help="surviving-weight fraction (default 0.25)")
-    p.add_argument("--c1", type=float, help="fluctuation-penalty constant (default 1)")
-    p.add_argument("--num", type=int, help="sweep grid size (default 101)")
+    p.add_argument("--eps", type=float, default=0.25, help="surviving-weight fraction (default 0.25)")
+    p.add_argument("--c1", type=float, default=1.0, help="fluctuation-penalty constant (default 1)")
+    p.add_argument("--num", type=int, default=101, help="sweep grid size (default 101)")
     _add_common(p)
     p.set_defaults(func=cmd_gain)
 
     p = sub.add_parser("oracle", help="recursion vs brute-force enumeration (CI gate)")
-    p.add_argument("--max-n", dest="max_n", type=int, help="largest N enumerated (default 8)")
-    p.add_argument("--trials", type=int, help="random weight sequences (default 5)")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p.add_argument("--tol", type=float, help="relative tolerance (default 1e-10)")
+    p.add_argument(
+        "--max-n", dest="max_n", type=int, default=8, help="largest N enumerated (default 8)"
+    )
+    p.add_argument("--trials", type=int, default=5, help="random weight sequences (default 5)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--tol", type=float, default=1e-10, help="relative tolerance (default 1e-10)")
     _add_common(p)
     p.set_defaults(func=cmd_oracle)
 
@@ -778,9 +672,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, help="box side")
     _add_thermal(p)
     p.add_argument("--y", type=_float_list, help="cycle center, comma-separated coordinates")
-    p.add_argument("--xbar", type=_float_list, help="momentum shift vector (default zero)")
-    p.add_argument("--axis", type=int, help="profile axis (default 0)")
-    p.add_argument("--num", type=int, help="samples along the axis (default 257)")
+    p.add_argument(
+        "--xbar", type=_float_list, default=(), help="momentum shift vector (default zero)"
+    )
+    p.add_argument("--axis", type=int, default=0, help="profile axis (default 0)")
+    p.add_argument("--num", type=int, default=257, help="samples along the axis (default 257)")
     _add_common(p)
     p.set_defaults(func=cmd_wavefn)
 
@@ -789,9 +685,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config is not None:
+            # config entries go ahead of the command-line flags, so the flags win
+            args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,9 +34,7 @@ __all__ = [
     "finite_size_gain_rate",
     "enumerate_merger_graphs",
     "census_rows",
-    "census_to_csv",
     "coupling_sweep",
-    "sweep_to_csv",
 ]
 
 CENSUS_MAX_VERTICES = 5
@@ -45,6 +43,7 @@ _SEARCH_MAX_VERTICES = 8
 _SEARCH_MAX_EDGES = 48
 _EXACT_FACTORIAL_N_MAX = 200
 _GOLDEN_XATOL = 1e-12
+_ROW_CHUNK = 65536  # census rows turned into Python tuples at a time
 
 
 def _pair_list(n: int) -> list[tuple[int, int]]:
@@ -380,14 +379,6 @@ def coupling_sweep(params: CouplingParams, num: int = 101) -> list[SweepRow]:
     return rows
 
 
-def sweep_to_csv(fp, params: CouplingParams, num: int = 101) -> None:
-    for key in ("c", "rho_v", "lam", "rho", "d", "eps", "c1"):
-        fp.write(f"# {key} = {getattr(params, key)!r}\n")
-    fp.write("a,gain,penalty,total\n")
-    for row in coupling_sweep(params, num):
-        fp.write(f"{row.a!r},{row.gain!r},{row.penalty!r},{row.total!r}\n")
-
-
 @dataclass(frozen=True)
 class CouplingCensus:
     """Summary of an exhaustive enumeration of multigraphs."""
@@ -401,7 +392,8 @@ class CouplingCensus:
 
 
 def _census_arrays(n_vertices: int, max_multiplicity: int):
-    # all multiplicity vectors as a (count, n_pairs) uint8 array
+    # all multiplicity vectors as a (count, n_pairs) uint8 array, in
+    # itertools.product order: the last pair's digit varies fastest
     pairs = _pair_list(n_vertices)
     n_pairs = len(pairs)
     base = max_multiplicity + 1
@@ -409,7 +401,7 @@ def _census_arrays(n_vertices: int, max_multiplicity: int):
     codes = np.arange(count, dtype=np.int64)
     vecs = np.empty((count, n_pairs), dtype=np.uint8)
     for k in range(n_pairs):
-        vecs[:, k] = (codes // base**k) % base
+        vecs[:, k] = (codes // base ** (n_pairs - 1 - k)) % base
     inc = np.zeros((n_pairs, n_vertices), dtype=np.uint8)
     for k, (i, j) in enumerate(pairs):
         inc[k, i] = 1
@@ -496,20 +488,15 @@ def enumerate_merger_graphs(
 
 
 def census_rows(n_vertices: int, max_multiplicity: int = 3):
-    """Yield (multiplicities, Delta, K-or-None) for every multigraph."""
+    """Yield (multiplicities, Delta, K-or-None) for every multigraph, in
+    itertools.product order over the pairs (the last pair varies fastest).
+
+    The rows are read off the vectorized census; MergerMultigraph,
+    is_merger_graph and k_index remain the graph-by-graph oracle for them.
+    """
     _check_size_cap(n_vertices, max_multiplicity)
-    n_pairs = len(_pair_list(n_vertices))
-    for mults in itertools.product(range(max_multiplicity + 1), repeat=n_pairs):
-        G = MergerMultigraph(n_vertices, mults)
-        delta = is_merger_graph(G)
-        yield mults, delta, (k_index(G) if delta else None)
-
-
-def census_to_csv(fp, n_vertices: int, max_multiplicity: int = 3) -> None:
-    fp.write(f"# n_vertices = {n_vertices}\n")
-    fp.write(f"# max_multiplicity = {max_multiplicity}\n")
-    names = [f"m{i}{j}" for i, j in _pair_list(n_vertices)]
-    fp.write(",".join(names + ["delta", "K"]) + "\n")
-    for mults, delta, K in census_rows(n_vertices, max_multiplicity):
-        k_str = "" if K is None else str(K)
-        fp.write(",".join([str(m) for m in mults] + [str(delta), k_str]) + "\n")
+    _, vecs, delta, k_vals = _census_arrays(n_vertices, max_multiplicity)
+    for start in range(0, len(vecs), _ROW_CHUNK):
+        chunk = slice(start, start + _ROW_CHUNK)
+        for mults, ok, K in zip(vecs[chunk].tolist(), delta[chunk].tolist(), k_vals[chunk].tolist()):
+            yield tuple(mults), int(ok), (K if ok else None)

@@ -13,7 +13,6 @@ work at the cap).
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .special_fn import log_q_weights, thermal_wavelength
+from .special_fn import _require_box_side, log_q_weights, thermal_wavelength
 
 __all__ = [
     "N_MAX",
@@ -59,10 +58,9 @@ class SystemParams:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if not self.L > 0.0:
-            raise ValueError(f"box side must be positive, got {self.L}")
         if self.N < 1:
             raise ValueError(f"particle count must be >= 1, got {self.N}")
+        _require_box_side(self.L, 2, self.d)
         if not self.beta > 0.0:
             raise ValueError(f"inverse temperature must be positive, got {self.beta}")
 
@@ -155,26 +153,6 @@ class CycleSpectrum:
         frac = self.fractions
         for i, r in enumerate(self.rho_n):
             yield i + 1, float(r), float(frac[i])
-
-    def to_csv(self, fp, comments: dict | None = None) -> None:
-        for key, val in (comments or {}).items():
-            fp.write(f"# {key} = {val}\n")
-        fp.write("n,rho_n,rho_n_over_rho\n")
-        for n, r, f in self.rows():
-            fp.write(f"{n},{r!r},{f!r}\n")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.params.N,
-            "rho": self.rho,
-            "n": list(range(1, self.params.N + 1)),
-            "rho_n": [float(x) for x in self.rho_n],
-            "rho_n_over_rho": [float(x) for x in self.fractions],
-        }
-
-    def to_json(self, fp) -> None:
-        json.dump(self.to_json_dict(), fp, indent=2)
-        fp.write("\n")
 
 
 @dataclass

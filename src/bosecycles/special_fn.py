@@ -15,6 +15,7 @@ plain product over dimensions.  All dimensionless combinations
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +52,21 @@ def thermal_wavelength(beta: float) -> float:
     if not beta > 0.0 or math.isinf(beta):
         raise ValueError(f"beta must be positive and finite, got {beta}")
     return math.sqrt(2.0 * math.pi * beta)
+
+
+def _require_box_side(L: float, *exponents: int) -> None:
+    """Reject a box side that is not positive, or whose powers L^k (for
+    the given k) underflow to zero or overflow, so that densities N/L^d
+    and theta arguments n lambda^2/L^2 stay finite."""
+    if not L > 0.0:
+        raise ValueError(f"box side must be positive, got {L}")
+    for k in exponents:
+        try:
+            power = L**k
+        except OverflowError:
+            power = math.inf
+        if not sys.float_info.min <= power <= sys.float_info.max:
+            raise ValueError(f"box side L = {L!r} puts L^{k} outside the float range")
 
 
 def _theta_zmax(a: float) -> int:

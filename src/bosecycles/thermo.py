@@ -11,10 +11,9 @@ zeta_dcp = sum_n phi_n e^{-b n} / n^{d/2}.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -42,8 +41,6 @@ __all__ = [
     "dcp_point",
     "condensate_fraction",
     "finite_size_scan",
-    "scan_to_csv",
-    "scan_to_json_dict",
 ]
 
 _BISECT_MAX_ITER = 200
@@ -381,20 +378,3 @@ def finite_size_scan(
             )
         )
     return rows
-
-
-def scan_to_csv(rows: Sequence[ScanRow], fp, comments: dict | None = None) -> None:
-    for key, val in (comments or {}).items():
-        fp.write(f"# {key} = {val}\n")
-    fp.write("N,macro_fraction,band_fraction,condensate_estimate\n")
-    for row in rows:
-        fp.write(f"{row.N},{row.macro_fraction!r},{row.band_fraction!r},{row.condensate_estimate!r}\n")
-
-
-def scan_to_json_dict(rows: Sequence[ScanRow]) -> dict:
-    return {
-        "N": [r.N for r in rows],
-        "macro_fraction": [r.macro_fraction for r in rows],
-        "band_fraction": [r.band_fraction for r in rows],
-        "condensate_estimate": [r.condensate_estimate for r in rows],
-    }

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_fn import _theta_zmax, reduce_shift, theta1d, theta1d_shifted
+from .special_fn import _require_box_side, _theta_zmax, reduce_shift, theta1d, theta1d_shifted
 
 __all__ = [
     "CycleWaveParams",
@@ -25,7 +25,6 @@ __all__ = [
     "psi_shifted",
     "phase_theta_sum",
     "wave_profile",
-    "profile_to_csv",
 ]
 
 
@@ -46,8 +45,7 @@ class CycleWaveParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"cycle length must be >= 1, got {self.n}")
-        if not self.L > 0.0:
-            raise ValueError(f"box side must be positive, got {self.L}")
+        _require_box_side(self.L, 2)
         if not self.lam > 0.0:
             raise ValueError(f"thermal wavelength must be positive, got {self.lam}")
         y = tuple(float(c) % self.L for c in np.atleast_1d(np.asarray(self.y, dtype=float)))
@@ -179,15 +177,3 @@ def wave_profile(params: CycleWaveParams, axis: int = 0, num: int = 257):
         val = psi_shifted(params, x)
         rows.append((float(t), val.real, val.imag, abs(val) ** 2))
     return rows
-
-
-def profile_to_csv(fp, params: CycleWaveParams, axis: int = 0, num: int = 257) -> None:
-    fp.write(f"# n = {params.n}\n")
-    fp.write(f"# L = {params.L!r}\n")
-    fp.write(f"# lam = {params.lam!r}\n")
-    fp.write(f"# y = {','.join(repr(c) for c in params.y)}\n")
-    fp.write(f"# xbar = {','.join(repr(c) for c in params.xbar)}\n")
-    fp.write(f"# axis = {axis}\n")
-    fp.write("x,re_psi,im_psi,abs2\n")
-    for t, re, im, a2 in wave_profile(params, axis, num):
-        fp.write(f"{t!r},{re!r},{im!r},{a2!r}\n")

@@ -10,12 +10,15 @@ import pytest
 
 import bosecycles
 from bosecycles.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from bosecycles.coupling import CouplingParams, coupling_gain_rate
 from bosecycles.cycle_engine import (
     SystemParams,
     WeightSequence,
     build_partition_table,
     cycle_density_spectrum,
 )
+from bosecycles.thermo import finite_size_scan
+from bosecycles.wavefunctions import CycleWaveParams, psi_shifted
 
 ZETA32 = 2.6123753486854883
 
@@ -91,6 +94,29 @@ class TestSpectrum:
         assert sum(data["rho_n"]) == pytest.approx(data["rho"], rel=1e-12)
         assert 0.0 <= data["macro_fraction"] <= 1.0
 
+    def test_csv_export(self, outdir):
+        assert main(["spectrum", "--rho-lambda3", "2.0", "--N", "4", "--beta", "1.0"]) == EXIT_OK
+        p = SystemParams.from_degeneracy(3, 4, 2.0, 1.0)
+        s = cycle_density_spectrum(build_partition_table(p, WeightSequence.ideal(p)))
+        lines = (outdir / "spectrum.csv").read_text().splitlines()
+        assert lines[2] == "# N = 4"
+        assert lines[9] == "n,rho_n,rho_n_over_rho"
+        assert len(lines) == 14
+        n, rho_n, frac = lines[10].split(",")
+        assert int(n) == 1
+        assert float(rho_n) == s.rho_n[0]
+        assert float(frac) == s.fractions[0]
+
+    def test_json_export(self, outdir):
+        argv = ["spectrum", "--rho-lambda3", "2.0", "--N", "4", "--beta", "1.0", "--format", "json"]
+        assert main(argv) == EXIT_OK
+        p = SystemParams.from_degeneracy(3, 4, 2.0, 1.0)
+        s = cycle_density_spectrum(build_partition_table(p, WeightSequence.ideal(p)))
+        blob = json.loads((outdir / "spectrum.json").read_text())
+        assert blob["N"] == 4
+        assert blob["n"] == [1, 2, 3, 4]
+        assert blob["rho_n_over_rho"] == pytest.approx(list(s.fractions))
+
     def test_deterministic_bytes(self, outdir):
         a, b = outdir / "a.csv", outdir / "b.csv"
         for path in (a, b):
@@ -138,6 +164,19 @@ class TestScan:
         data = json.loads((outdir / "scan.json").read_text())
         assert data["N"] == [16, 32]
         assert len(data["macro_fraction"]) == 2
+
+    def test_csv_and_json(self, outdir):
+        argv = ["scan", "--rho", "0.3", "--beta", "1.0", "--N-list", "8,16", "--eps", "0.25"]
+        assert main(argv) == EXIT_OK
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        rows = finite_size_scan(0.3, 1.0, 3, [8, 16], eps=0.25)
+        lines = (outdir / "scan.csv").read_text().splitlines()
+        assert lines[3] == "# rho = 0.3"
+        assert lines[7] == "N,macro_fraction,band_fraction,condensate_estimate"
+        assert len(lines) == 10
+        blob = json.loads((outdir / "scan.json").read_text())
+        assert blob["N"] == [8, 16]
+        assert blob["macro_fraction"][0] == rows[0].macro_fraction
 
     def test_missing_sizes(self, outdir):
         assert main(["scan", "--rho-lambda3", "1.0"]) == EXIT_USAGE
@@ -240,6 +279,15 @@ class TestMerger:
         assert data["k_histogram"] == {"0": 1, "1": 3, "2": 12}
         assert len(data["rows"]) == 64
 
+    def test_csv_export(self, outdir):
+        assert main(["merger", "--vertices", "2", "--max-multiplicity", "3"]) == EXIT_OK
+        lines = (outdir / "merger.csv").read_text().splitlines()
+        assert lines[1] == "# vertices = 2"
+        assert lines[4] == "m01,delta,K"
+        assert lines[5] == "0,1,0"
+        assert lines[6] == "1,0,"  # K blank when undefined
+        assert lines[7] == "2,1,1"
+
     def test_size_cap(self, outdir):
         assert main(["merger", "--vertices", "6"]) == EXIT_USAGE
 
@@ -258,6 +306,18 @@ class TestGain:
         data = json.loads((outdir / "gain.json").read_text())
         assert 0.0 <= data["a_star"] <= 0.5
         assert len(data["sweep"]["a"]) == 101
+
+    def test_csv_format(self, outdir):
+        assert main(["gain", "--c", "0.5", "--rho-v", "2.0", "--rho", "1.0", "--num", "5"]) == EXIT_OK
+        lines = (outdir / "gain.csv").read_text().splitlines()
+        assert lines[1] == "# c = 0.5"
+        header = lines[9]
+        assert header == "a,gain,penalty,total"
+        first = lines[10].split(",")
+        assert float(first[0]) == 0.0
+        # repr round trip
+        at_zero = CouplingParams(c=0.5, rho_v=2.0, lam=1.0, rho=1.0, d=3, a=0.0)
+        assert float(first[1]) == coupling_gain_rate(at_zero)
 
     def test_missing_required(self, outdir):
         assert main(["gain", "--c", "0.5", "--rho", "1"]) == EXIT_USAGE
@@ -299,6 +359,17 @@ class TestWavefn:
             assert a2 == pytest.approx(re**2 + im**2, rel=1e-12)
         assert any(abs(im) > 1e-6 for im in data["im_psi"])
 
+    def test_csv_format(self, outdir):
+        argv = ["wavefn", "--n", "2", "--L", "1.5", "--lam", "0.8", "--y", "0.2", "--num", "8"]
+        assert main(argv) == EXIT_OK
+        lines = (outdir / "wavefn.csv").read_text().splitlines()
+        assert lines[1] == "# n = 2"
+        assert lines[8] == "x,re_psi,im_psi,abs2"
+        assert len(lines) == 9 + 8
+        parts = lines[9].split(",")
+        val = psi_shifted(CycleWaveParams(n=2, L=1.5, lam=0.8, y=(0.2,)), (0.2,))
+        assert float(parts[1]) == val.real  # repr round trip
+
     def test_missing_center(self, outdir):
         assert main(["wavefn", "--n", "4", "--L", "2"]) == EXIT_USAGE
 
@@ -329,6 +400,112 @@ class TestConfigFile:
         cfg.write_text("# a run\n\nrho = 1.0  # density\nN = 4\n")
         assert main(["spectrum", "--config", str(cfg)]) == EXIT_OK
 
+    def test_entries_meet_the_flag_checks(self, outdir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["mu", "--rho-lambda3", "1.0", "--config", str(cfg)])
+        assert exc.value.code == EXIT_USAGE
+        assert [p.name for p in outdir.iterdir()] == ["run.cfg"]
+
+    def test_flags_win_over_typed_entries(self, outdir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = json\nvertices = 2\ncross-check = yes\n")
+        assert main(["merger", "--config", str(cfg), "--format", "csv"]) == EXIT_OK
+        comments, header, _ = read_csv(outdir / "merger.csv")
+        assert comments["vertices"] == "2"
+        assert comments["cross_check"] == "True"
+        assert header == ["m01", "delta", "K"]
+        assert not (outdir / "merger.json").exists()
+
+
+class TestFailedRuns:
+    BAD_ARGVS = [
+        ["gain", "--c", "0.5", "--rho-v", "2", "--rho", "1", "--num", "1"],
+        ["wavefn", "--n", "4", "--L", "2", "--y", "0.5", "--num", "1"],
+        ["wavefn", "--n", "4", "--L", "2", "--y", "0.5", "--axis", "3"],
+    ]
+
+    @pytest.mark.parametrize("argv", BAD_ARGVS, ids=["gain-num", "wavefn-num", "wavefn-axis"])
+    def test_no_file_left_behind(self, outdir, argv):
+        assert main(argv) == EXIT_USAGE
+        assert list(outdir.iterdir()) == []
+
+    def test_earlier_file_kept(self, outdir):
+        target = outdir / "gain.csv"
+        target.write_bytes(b"a known good file\n")
+        assert main(self.BAD_ARGVS[0]) == EXIT_USAGE
+        assert target.read_bytes() == b"a known good file\n"
+        assert [p.name for p in outdir.iterdir()] == ["gain.csv"]
+
+    def test_zero_particles_named(self, outdir, capsys):
+        assert main(["spectrum", "--rho", "1", "--N", "0"]) == EXIT_USAGE
+        assert "particle count must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--L", "1e-300", "--N", "8"],
+            ["spectrum", "--L", "1e300", "--N", "8"],
+            ["wavefn", "--n", "4", "--L", "1e-300", "--y", "0.1"],
+        ],
+        ids=["spectrum-tiny-L", "spectrum-huge-L", "wavefn-tiny-L"],
+    )
+    def test_box_side_out_of_float_range(self, outdir, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        assert "box side L = " in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+
+def _render(value) -> str:
+    # the documented cell rule: float as repr, None empty, lists comma-joined
+    if isinstance(value, float):
+        return repr(value)
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ",".join(map(_render, value))
+    return str(value)
+
+
+def _json_rows(command, doc, header):
+    """The data rows of a JSON output, in the CSV's column order."""
+    if command == "sample":
+        draws = doc["draws_lengths"]
+        return [[i, len(d), " ".join(map(str, d))] for i, d in enumerate(draws, start=1)]
+    if command == "merger":
+        return [[*r["multiplicities"], r["delta"], r["K"]] for r in doc["rows"]]
+    if command == "oracle":
+        return [[r[name] for name in header] for r in doc["rows"]]
+    if command in ("mu", "bounds"):
+        return [[doc[name] for name in header]]
+    cols = doc["sweep"] if command == "gain" else doc
+    return [list(row) for row in zip(*(cols[name] for name in header))]
+
+
+MIRROR_ARGVS = {
+    "spectrum": ["spectrum", "--N", "8", "--rho-lambda3", "5.2"],
+    "scan": ["scan", "--N-list", "8,16", "--rho-lambda3", "5.2"],
+    "mu": ["mu", "--rho-lambda3", "1.0"],
+    "bounds": ["bounds", "--potential", "gaussian:0.5,0.8", "--rho", "1", "--beta", "1"],
+    "sample": ["sample", "--N", "16", "--rho-lambda3", "5.2", "--draws", "3", "--seed", "4"],
+    "merger": ["merger", "--vertices", "3", "--max-multiplicity", "2"],
+    "gain": ["gain", "--c", "0.5", "--rho-v", "50", "--rho", "1", "--num", "5"],
+    "oracle": ["oracle", "--max-n", "3", "--trials", "2"],
+    "wavefn": ["wavefn", "--n", "4", "--L", "2", "--y", "0.5,0.1", "--xbar", "0,0.3", "--num", "5"],
+}
+
+
+@pytest.mark.parametrize("command", list(MIRROR_ARGVS))
+def test_csv_mirrors_json(outdir, command):
+    argv = MIRROR_ARGVS[command]
+    assert main(argv + ["-o", "run.csv"]) == EXIT_OK
+    assert main(argv + ["--format", "json", "-o", "run.json"]) == EXIT_OK
+    comments, header, rows = read_csv(outdir / "run.csv")
+    doc = json.loads((outdir / "run.json").read_text())
+    assert list(comments.items()) == [(key, _render(val)) for key, val in doc["config"].items()]
+    assert rows == [[_render(v) for v in row] for row in _json_rows(command, doc, header)]
+
 
 class TestOutputPlumbing:
     def test_outdir_env(self, outdir):
@@ -339,6 +516,14 @@ class TestOutputPlumbing:
         target = tmp_path / "elsewhere" / "out.csv"
         assert main(["mu", "--rho-lambda3", "1.0", "-o", str(target)]) == EXIT_OK
         assert target.exists()
+
+    def test_symlinked_output_written_through(self, outdir):
+        target = outdir / "target.csv"
+        target.write_text("")
+        (outdir / "link.csv").symlink_to(target)
+        assert main(["mu", "--rho-lambda3", "1.0", "-o", "link.csv"]) == EXIT_OK
+        assert (outdir / "link.csv").is_symlink()
+        assert target.read_text().startswith("# command = mu\n")
 
     def test_module_entry_point(self, tmp_path):
         # The child gets a minimal environment, plus the directory holding

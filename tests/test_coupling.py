@@ -1,6 +1,5 @@
 """Tests for merger-graph combinatorics and the coupling rate analysis."""
 
-import io
 import itertools
 import math
 from dataclasses import replace
@@ -12,7 +11,6 @@ from bosecycles.coupling import (
     CouplingParams,
     MergerMultigraph,
     census_rows,
-    census_to_csv,
     coupling_gain_rate,
     coupling_sweep,
     decomposes_into_circles,
@@ -22,7 +20,6 @@ from bosecycles.coupling import (
     is_merger_graph,
     k_index,
     optimize_coupling,
-    sweep_to_csv,
 )
 
 # frozen regression counts; they equal 2^(2E - V + 1) because the even
@@ -183,15 +180,14 @@ class TestCensus:
             else:
                 assert K is None
 
-    def test_csv_export(self):
-        buf = io.StringIO()
-        census_to_csv(buf, 2, 3)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# n_vertices = 2"
-        assert lines[2] == "m01,delta,K"
-        assert lines[3] == "0,1,0"
-        assert lines[4] == "1,0,"  # K blank when undefined
-        assert lines[5] == "2,1,1"
+    def test_rows_follow_product_order(self):
+        rows = list(census_rows(4, 2))
+        assert [mults for mults, _, _ in rows] == list(itertools.product(range(3), repeat=6))
+        for mults, delta, K in rows:
+            G = MergerMultigraph(4, mults)
+            assert delta == is_merger_graph(G)
+            assert K == (k_index(G) if delta else None)
+
 
 
 class TestGainRate:
@@ -352,19 +348,6 @@ class TestSweep:
         assert rows[-1].total == 0.0
         for row in rows:
             assert row.total == pytest.approx(row.gain + row.penalty, rel=1e-14, abs=1e-300)
-
-    def test_csv_format(self):
-        p = default_params(a=None)
-        buf = io.StringIO()
-        sweep_to_csv(buf, p, num=5)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# c = 0.5"
-        header = lines[7]
-        assert header == "a,gain,penalty,total"
-        first = lines[8].split(",")
-        assert float(first[0]) == 0.0
-        # repr round trip
-        assert float(first[1]) == coupling_gain_rate(default_params(a=0.0))
 
     def test_num_validation(self):
         with pytest.raises(ValueError, match="grid points"):

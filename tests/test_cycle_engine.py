@@ -7,8 +7,6 @@ for the recursion; closed forms for N = 2, 3 are asserted directly.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 
 import numpy as np
@@ -65,6 +63,16 @@ class TestSystemParams:
     def test_rejects_invalid(self, kw):
         with pytest.raises(ValueError):
             SystemParams(**kw)
+
+    def test_count_checked_before_side(self):
+        with pytest.raises(ValueError, match="particle count"):
+            SystemParams.from_density(3, 0, rho=1.0, beta=1.0)
+
+    @pytest.mark.parametrize("L, d", [(1e-300, 3), (1e300, 3), (1e-200, 1), (1e200, 1)])
+    def test_rejects_side_outside_float_range(self, L, d):
+        # L^d or L^2 would underflow to 0 or overflow
+        with pytest.raises(ValueError, match="box side L = "):
+            SystemParams(d=d, L=L, N=8, beta=1.0)
 
 
 class TestWeightSequence:
@@ -196,29 +204,6 @@ class TestSpectrum:
         assert devs[2048] < 1e-8
         assert devs[2048] < devs[512]
 
-    def test_csv_export(self):
-        t = _ideal_table(N=4)
-        s = cycle_density_spectrum(t)
-        buf = io.StringIO()
-        s.to_csv(buf, comments={"N": 4})
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# N = 4"
-        assert lines[1] == "n,rho_n,rho_n_over_rho"
-        assert len(lines) == 6
-        n, rho_n, frac = lines[2].split(",")
-        assert int(n) == 1
-        assert float(rho_n) == s.rho_n[0]
-        assert float(frac) == s.fractions[0]
-
-    def test_json_export(self):
-        t = _ideal_table(N=4)
-        s = cycle_density_spectrum(t)
-        buf = io.StringIO()
-        s.to_json(buf)
-        blob = json.loads(buf.getvalue())
-        assert blob["N"] == 4
-        assert blob["n"] == [1, 2, 3, 4]
-        assert blob["rho_n_over_rho"] == pytest.approx(list(s.fractions))
 
 
 class TestSampler:

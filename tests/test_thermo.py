@@ -7,7 +7,6 @@ closed-form condensed-phase values are asserted directly.
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
@@ -28,8 +27,6 @@ from bosecycles.thermo import (
     ideal_free_energy_density,
     ideal_mu,
     ideal_point,
-    scan_to_csv,
-    scan_to_json_dict,
 )
 
 ZETA32 = 2.6123753486854883
@@ -309,15 +306,3 @@ class TestFiniteSizeScan:
         rows = finite_size_scan(rho, beta, 3, [64, 256], eps=0.05, model=model)
         assert rows[0].N == 64
         assert all(0.0 <= r.macro_fraction <= 1.0 for r in rows)
-
-    def test_csv_and_json(self):
-        rows = finite_size_scan(0.3, 1.0, 3, [8, 16], eps=0.25)
-        buf = io.StringIO()
-        scan_to_csv(rows, buf, comments={"rho": 0.3})
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# rho = 0.3"
-        assert lines[1] == "N,macro_fraction,band_fraction,condensate_estimate"
-        assert len(lines) == 4
-        blob = scan_to_json_dict(rows)
-        assert blob["N"] == [8, 16]
-        assert blob["macro_fraction"][0] == rows[0].macro_fraction

@@ -1,6 +1,5 @@
 """Tests for the cycle wave functions."""
 
-import io
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 from bosecycles.wavefunctions import (
     CycleWaveParams,
     phase_theta_sum,
-    profile_to_csv,
     psi_gaussian_form,
     psi_planewave_form,
     psi_shifted,
@@ -45,6 +43,8 @@ class TestCycleWaveParams:
             CycleWaveParams(n=0, L=1.0, lam=1.0, y=(0.0,))
         with pytest.raises(ValueError, match="box side"):
             CycleWaveParams(n=1, L=0.0, lam=1.0, y=(0.0,))
+        with pytest.raises(ValueError, match="box side L = "):
+            CycleWaveParams(n=1, L=1e-300, lam=1.0, y=(0.0,))
         with pytest.raises(ValueError, match="wavelength"):
             CycleWaveParams(n=1, L=1.0, lam=-1.0, y=(0.0,))
         with pytest.raises(ValueError, match="components"):
@@ -208,18 +208,6 @@ class TestProfileExport:
         t0, re0, im0, a20 = rows[0]
         assert t0 == 0.0
         assert a20 == pytest.approx(re0**2 + im0**2, rel=1e-12)
-
-    def test_csv_format(self):
-        p = CycleWaveParams(n=2, L=1.5, lam=0.8, y=(0.2,))
-        buf = io.StringIO()
-        profile_to_csv(buf, p, axis=0, num=8)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# n = 2"
-        assert lines[6] == "x,re_psi,im_psi,abs2"
-        assert len(lines) == 7 + 8
-        parts = lines[7].split(",")
-        val = psi_shifted(p, (0.2,))
-        assert float(parts[1]) == val.real  # repr round trip
 
     def test_axis_validation(self):
         p = CycleWaveParams(n=2, L=1.5, lam=0.8, y=(0.2,))
