@@ -16,7 +16,9 @@ import subprocess
 import sys
 import tempfile
 
-workdir = tempfile.mkdtemp(prefix="bosecycles_demo_")
+# removed with everything in it when the demo exits, even on a failed step
+_tmpdir = tempfile.TemporaryDirectory(prefix="bosecycles_demo_")
+workdir = _tmpdir.name
 env = dict(os.environ, BOSECYCLES_OUTDIR=workdir)
 
 

@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .special_fn import _require_box_side, log_q_weights, thermal_wavelength
+from .special_fn import _require_length, log_q_weights, thermal_wavelength
 
 __all__ = [
     "N_MAX",
@@ -60,9 +60,10 @@ class SystemParams:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
         if self.N < 1:
             raise ValueError(f"particle count must be >= 1, got {self.N}")
-        _require_box_side(self.L, 2, self.d)
+        _require_length("box side", "L", self.L, 2, self.d)
         if not self.beta > 0.0:
             raise ValueError(f"inverse temperature must be positive, got {self.beta}")
+        _require_length("thermal wavelength", "lambda", self.lam, 2, self.d)
 
     @property
     def lam(self) -> float:
@@ -79,6 +80,8 @@ class SystemParams:
 
     @classmethod
     def from_density(cls, d: int, N: int, rho: float, beta: float) -> "SystemParams":
+        if d < 1:
+            raise ValueError(f"dimension must be >= 1, got {d}")
         if not rho > 0.0:
             raise ValueError(f"density must be positive, got {rho}")
         return cls(d=d, L=(N / rho) ** (1.0 / d), N=N, beta=beta)

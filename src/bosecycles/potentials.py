@@ -591,6 +591,9 @@ def load_potential(path) -> PairPotential:
     kind = spec.get("kind")
     d = int(spec.get("d", 3))
     if kind == "gaussian":
+        for key in ("g", "sigma"):
+            if key not in spec:
+                raise ValueError(f"{path}: kind = gaussian needs {key} = <number>")
         return gaussian_potential(float(spec["g"]), float(spec["sigma"]), d)
     if kind in ("tabulated", "autocorrelation"):
         if "profile" not in spec:

@@ -4,7 +4,8 @@ Everything downstream is built from the one-dimensional lattice Gaussian sum
 
     Theta(a) = sum_{z in Z} exp(-pi a z^2),  a > 0,
 
-its shifted variant sum_z exp(-pi a (z+s)^2), and the Bose function
+its shifted and phased form sum_z exp(-pi a (z+s)^2) exp(2 pi i (z+s) w),
+all summed by one kernel, and the Bose function
 (polylogarithm) g_s(z) = sum_{n>=1} z^n / n^s.  Units are reduced,
 hbar = m = 1, so the thermal wavelength is lambda_beta = sqrt(2*pi*beta)
 and the single-particle torus weight q_n = Theta(n lambda^2/L^2)^d is a
@@ -54,24 +55,67 @@ def thermal_wavelength(beta: float) -> float:
     return math.sqrt(2.0 * math.pi * beta)
 
 
-def _require_box_side(L: float, *exponents: int) -> None:
-    """Reject a box side that is not positive, or whose powers L^k (for
-    the given k) underflow to zero or overflow, so that densities N/L^d
-    and theta arguments n lambda^2/L^2 stay finite."""
-    if not L > 0.0:
-        raise ValueError(f"box side must be positive, got {L}")
+def _require_length(what: str, symbol: str, value: float, *exponents: int) -> None:
+    """Reject a length that is not positive, or whose powers value^k (for
+    the given k) underflow to zero or overflow, so that densities N/L^d,
+    degeneracies rho lambda^d and theta arguments n lambda^2/L^2 stay
+    finite."""
+    if not value > 0.0:
+        raise ValueError(f"{what} must be positive, got {value}")
     for k in exponents:
         try:
-            power = L**k
+            power = value**k
         except OverflowError:
             power = math.inf
         if not sys.float_info.min <= power <= sys.float_info.max:
-            raise ValueError(f"box side L = {L!r} puts L^{k} outside the float range")
+            raise ValueError(
+                f"{what} {symbol} = {value!r} puts {symbol}^{k} outside the float range"
+            )
 
 
-def _theta_zmax(a: float) -> int:
-    # a is the post-duality exponent scale (>= 1 when called after the switch)
-    return math.ceil(math.sqrt(_TAIL_EXPONENT / (math.pi * a))) + 1
+def _image_pairs(a: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # elementwise sum_{k != 0} exp(-pi a k (k + 2t)) exp(2 pi i k v), adding
+    # each +-k pair first; images run until pi a k^2 passes _TAIL_EXPONENT at
+    # the smallest a, plus one more for the off-centre peak
+    kmax = math.ceil(math.sqrt(_TAIL_EXPONENT / (math.pi * a.min(initial=math.inf)))) + 2
+    k = np.array([1, -1])[:, None] * np.arange(1, kmax + 1)
+    k = k.reshape(k.shape + (1,) * a.ndim)  # images lead, so inner loops run over a
+    terms = np.exp(-math.pi * a * k * (k + 2.0 * t))
+    if v.any():
+        terms = terms * np.exp(2j * math.pi * v * k)
+    return (terms[0] + terms[1]).sum(axis=0)
+
+
+def _theta(a, s=0.0, w=0.0, dual=None):
+    """(lead, rest) with sum_{z in Z} exp(-pi a (z+s)^2) exp(2 pi i (z+s) w)
+    = exp(lead) (1 + rest), elementwise over the broadcast arrays a, s, w.
+
+    s is first reduced to [-1/2, 1/2], as the sum is periodic in s; then no
+    term of rest exceeds 1 in modulus.  Direct form: lead = -pi a s^2 +
+    2 pi i s w, rest = sum_{z != 0} exp(-pi a (z^2 + 2 z s)) exp(2 pi i z w).
+    Poisson dual, with m0 = round(w) and u = w - m0: lead = -log(a)/2 -
+    pi u^2/a + 2 pi i m0 s, rest = sum_{k != 0} exp(2 pi i k s - pi (k^2 -
+    2 k u)/a).  ``dual=None`` takes the direct form where a >= 1 and the
+    dual elsewhere, so the series summed has scale >= 1.  lead and rest are
+    real when every phase vanishes, complex otherwise.
+    """
+    a, s, w = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, s, w)))
+    bad = ~((a > 0.0) & (a < math.inf))
+    if bad.any():
+        raise ValueError(f"exponent scale must be positive and finite, got {a[bad][0]}")
+    s = s - np.round(s)
+    m0 = np.round(w)
+    u = w - m0
+    dual = a < 1.0 if dual is None else np.full(a.shape, bool(dual))
+    b = np.where(dual, 1.0 / a, a)  # scale of the series summed
+    direct_lead = -math.pi * a * s**2 + 2j * math.pi * s * w
+    dual_lead = 0.5 * np.log(b) - math.pi * b * u**2 + 2j * math.pi * m0 * s
+    lead = np.where(dual, dual_lead, direct_lead)
+    # in the direct form e^{2 pi i z w} = e^{2 pi i z u}, as z is an integer
+    rest = _image_pairs(b, np.where(dual, -u, s), np.where(dual, s, u))
+    if not np.where(dual, s, w).any():
+        lead, rest = lead.real, rest.real
+    return lead, rest
 
 
 def theta1d(a: float) -> float:
@@ -82,13 +126,8 @@ def theta1d(a: float) -> float:
     truncation never needs more than a handful of terms and the relative
     error stays below ~1e-15.
     """
-    a = float(a)
-    if not a > 0.0 or math.isinf(a):
-        raise ValueError(f"theta exponent scale must be positive and finite, got {a}")
-    if a < 1.0:
-        return theta1d(1.0 / a) / math.sqrt(a)
-    z = np.arange(1, _theta_zmax(a) + 1)
-    return 1.0 + 2.0 * float(np.exp(-math.pi * a * z * z).sum())
+    lead, rest = _theta(a)
+    return float(np.exp(lead) * (1.0 + rest))
 
 
 def theta1d_shifted(a: float, s: float) -> float:
@@ -98,20 +137,10 @@ def theta1d_shifted(a: float, s: float) -> float:
     the faster-converging representation is chosen automatically.  Shifts
     outside [-1/2, 1/2] should be reduced first, see ``reduce_shift``.
     """
-    a = float(a)
-    s = float(s)
-    if not a > 0.0 or math.isinf(a):
-        raise ValueError(f"theta exponent scale must be positive and finite, got {a}")
     if abs(s) > 0.5 + 1e-12:
         raise ValueError(f"shift must lie in [-1/2, 1/2], got {s}")
-    if a >= 1.0:
-        zmax = _theta_zmax(a) + 1  # one extra image for the off-center peak
-        z = np.arange(-zmax, zmax + 1)
-        return float(np.exp(-math.pi * a * (z + s) ** 2).sum())
-    zmax = _theta_zmax(1.0 / a) + 1
-    z = np.arange(1, zmax + 1)
-    tail = np.exp(-math.pi * z * z / a) * np.cos(2.0 * math.pi * s * z)
-    return (1.0 + 2.0 * float(tail.sum())) / math.sqrt(a)
+    lead, rest = _theta(a, s)
+    return float((np.exp(lead) * (1.0 + rest)).real)
 
 
 def reduce_shift(shift) -> np.ndarray:
@@ -202,38 +231,23 @@ def q_n(params, n: int, shift=None) -> float:
     if n < 1:
         raise ValueError(f"cycle length must be >= 1, got {n}")
     a = n * params.lam**2 / params.L**2
-    if shift is None:
-        return theta1d(a) ** params.d
-    s = reduce_shift(shift)
+    s = np.zeros(params.d) if shift is None else reduce_shift(shift)
     if s.shape != (params.d,):
         raise ValueError(f"shift must have {params.d} components, got shape {s.shape}")
-    return float(np.prod([theta1d_shifted(a, si) for si in s]))
+    lead, rest = _theta(a, s)
+    return float(np.prod(np.exp(lead) * (1.0 + rest)).real)
 
 
 def log_q_weights(params, n=None) -> np.ndarray:
     """log q_n for n = 1..N (or a given integer array), vectorized.
 
-    Uses log1p on the directly-summed branch so the macroscopic regime
-    q_n -> 1+ keeps full absolute accuracy in the logarithm.
+    log1p of the theta kernel's image sum keeps full absolute accuracy in
+    the macroscopic regime q_n -> 1+.
     """
     if n is None:
         n = np.arange(1, params.N + 1)
-    n = np.asarray(n)
-    a = n * params.lam**2 / params.L**2
-    out = np.empty(a.shape, dtype=float)
-    big = a >= 1.0
-    if big.any():
-        ab = a[big]
-        zmax = _theta_zmax(float(ab.min()))
-        z = np.arange(1, zmax + 1)
-        out[big] = np.log1p(2.0 * np.exp(-math.pi * ab[:, None] * z * z).sum(axis=1))
-    if (~big).any():
-        ab = 1.0 / a[~big]  # dual scale, >= 1
-        zmax = _theta_zmax(float(ab.min()))
-        z = np.arange(1, zmax + 1)
-        dual = np.log1p(2.0 * np.exp(-math.pi * ab[:, None] * z * z).sum(axis=1))
-        out[~big] = dual + 0.5 * np.log(ab)
-    return params.d * out
+    lead, rest = _theta(np.asarray(n) * params.lam**2 / params.L**2)
+    return params.d * (lead + np.log1p(rest))
 
 
 class AsymptoticRegime(NamedTuple):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_fn import _require_box_side, _theta_zmax, reduce_shift, theta1d, theta1d_shifted
+from .special_fn import _require_length, _theta, reduce_shift, theta1d
 
 __all__ = [
     "CycleWaveParams",
@@ -45,9 +45,8 @@ class CycleWaveParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"cycle length must be >= 1, got {self.n}")
-        _require_box_side(self.L, 2)
-        if not self.lam > 0.0:
-            raise ValueError(f"thermal wavelength must be positive, got {self.lam}")
+        _require_length("box side", "L", self.L, 2)
+        _require_length("thermal wavelength", "lambda", self.lam, 2)
         y = tuple(float(c) % self.L for c in np.atleast_1d(np.asarray(self.y, dtype=float)))
         if not y:
             raise ValueError("center y needs at least one coordinate")
@@ -55,6 +54,8 @@ class CycleWaveParams:
         xbar = tuple(float(c) for c in np.atleast_1d(np.asarray(xbar, dtype=float)))
         if len(xbar) != len(y):
             raise ValueError(f"xbar has {len(xbar)} components, center has {len(y)}")
+        if not np.isfinite(y + xbar).all():
+            raise ValueError(f"center y and momentum xbar must be finite, got {y} and {xbar}")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "xbar", xbar)
 
@@ -84,22 +85,13 @@ def phase_theta_sum(a: float, s: float, w: float, form: str = "auto") -> complex
 
     ``form`` picks the representation: "direct", "dual", or "auto" (the
     faster-converging one).  The two must agree; tests use them as a
-    mutual oracle.
+    mutual oracle.  Any real shift s is allowed: the sum is periodic in s.
     """
-    if not a > 0.0 or math.isinf(a):
-        raise ValueError(f"exponent scale must be positive and finite, got {a}")
-    if form == "auto":
-        form = "direct" if a >= 1.0 else "dual"
-    if form == "direct":
-        zmax = _theta_zmax(a) + 1
-        z = np.arange(-zmax, zmax + 1) + s
-        return complex(np.sum(np.exp(-math.pi * a * z**2) * np.exp(2j * math.pi * z * w)))
-    if form == "dual":
-        mmax = _theta_zmax(1.0 / a) + 1
-        m = np.arange(math.floor(w) - mmax, math.floor(w) + mmax + 2)
-        terms = np.exp(-math.pi * (w - m) ** 2 / a) * np.exp(2j * math.pi * m * s)
-        return complex(np.sum(terms)) / math.sqrt(a)
-    raise ValueError(f"form must be direct, dual, or auto, got {form!r}")
+    forms = {"auto": None, "direct": False, "dual": True}
+    if form not in forms:
+        raise ValueError(f"form must be direct, dual, or auto, got {form!r}")
+    lead, rest = _theta(a, s, w, dual=forms[form])
+    return complex(np.exp(lead) * (1.0 + rest))
 
 
 def _require_zero_shift(params: CycleWaveParams, what: str) -> None:
@@ -115,12 +107,9 @@ def psi_planewave_form(params: CycleWaveParams, x) -> complex:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (params.d,):
         raise ValueError(f"point must have {params.d} components, got shape {x.shape}")
-    a = params.a_num
+    lead, rest = _theta(params.a_num, 0.0, (x - params.y) / params.L, dual=False)
     norm = math.sqrt(params.L) * math.sqrt(theta1d(params.a_den))
-    out = complex(1.0)
-    for xi, yi in zip(x, params.y):
-        out *= phase_theta_sum(a, 0.0, (xi - yi) / params.L, form="direct") / norm
-    return out
+    return complex(np.prod(np.exp(lead) * (1.0 + rest) / norm))
 
 
 def psi_gaussian_form(params: CycleWaveParams, x) -> float:
@@ -151,15 +140,14 @@ def psi_shifted(params: CycleWaveParams, x) -> complex:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (params.d,):
         raise ValueError(f"point must have {params.d} components, got shape {x.shape}")
-    a = params.a_num
-    out = complex(1.0)
-    for xi, yi, s in zip(x, params.y, params.shift):
-        denom = theta1d_shifted(params.a_den, s)
-        if denom <= 0.0:
-            raise RuntimeError(f"shifted theta collapsed to {denom} at s = {s}")
-        num = phase_theta_sum(a, s, (xi - yi) / params.L)
-        out *= num / (math.sqrt(params.L) * math.sqrt(denom))
-    return out
+    s = np.array(params.shift)
+    lead, rest = _theta(params.a_den, s)
+    denom = (np.exp(lead) * (1.0 + rest)).real
+    if not (denom > 0.0).all():
+        i = int(np.argmin(denom))
+        raise RuntimeError(f"shifted theta collapsed to {denom[i]} at s = {s[i]}")
+    lead, rest = _theta(params.a_num, s, (x - params.y) / params.L)
+    return complex(np.prod(np.exp(lead) * (1.0 + rest) / (math.sqrt(params.L) * np.sqrt(denom))))
 
 
 def wave_profile(params: CycleWaveParams, axis: int = 0, num: int = 257):

@@ -456,6 +456,23 @@ class TestFailedRuns:
         assert "box side L = " in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["bounds", "--potential", "{no_g}", "--rho", "1", "--beta", "1"], "needs g = "),
+            (["spectrum", "--rho", "1", "--N", "5", "--d", "0"], "dimension must be >= 1, got 0"),
+            (["spectrum", "--L", "1", "--N", "5", "--lam", "1e150"], "thermal wavelength lambda = "),
+            (["wavefn", "--n", "4", "--L", "1", "--y", "nan"], "must be finite"),
+        ],
+        ids=["potential-without-g", "spectrum-d0", "spectrum-huge-lam", "wavefn-nan-y"],
+    )
+    def test_rejected_without_output(self, outdir, tmp_path_factory, capsys, argv, message):
+        no_g = tmp_path_factory.mktemp("potential") / "no_g.txt"
+        no_g.write_text("kind = gaussian\nsigma = 0.8\n")
+        assert main([arg.format(no_g=no_g) for arg in argv]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
 
 def _render(value) -> str:
     # the documented cell rule: float as repr, None empty, lists comma-joined

@@ -49,6 +49,8 @@ class TestCycleWaveParams:
             CycleWaveParams(n=1, L=1.0, lam=-1.0, y=(0.0,))
         with pytest.raises(ValueError, match="components"):
             CycleWaveParams(n=1, L=1.0, lam=1.0, y=(0.0, 0.0), xbar=(0.1,))
+        with pytest.raises(ValueError, match="finite"):
+            CycleWaveParams(n=1, L=1.0, lam=1.0, y=(0.0, math.nan), xbar=(0.1, math.inf))
 
 
 class TestPhaseThetaSum:
@@ -61,6 +63,15 @@ class TestPhaseThetaSum:
             direct = phase_theta_sum(a, s, w, form="direct")
             dual = phase_theta_sum(a, s, w, form="dual")
             assert abs(direct - dual) < 1e-12
+
+    @pytest.mark.parametrize("form", ["direct", "dual"])
+    @pytest.mark.parametrize("a", [0.2, 5.0])
+    def test_integer_shift_invariance(self, a, form):
+        # the sum is periodic in s, whichever window the form sums over
+        for s, w in ((0.3, 1.7), (0.0, 0.0), (-0.45, -2.2)):
+            ref = phase_theta_sum(a, s, w, form=form)
+            for k in (-7, 1, 10):
+                assert abs(phase_theta_sum(a, s + k, w, form=form) - ref) < 1e-12 * abs(ref)
 
     def test_zero_arguments_reduce_to_theta(self):
         from bosecycles.special_fn import theta1d
