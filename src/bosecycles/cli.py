@@ -52,6 +52,7 @@ from .cycle_engine import (
     sample_cycle_type,
 )
 from .potentials import gaussian_potential, free_energy_bounds, load_potential
+from .special_fn import _require_length
 from .thermo import ScanRow, finite_size_scan, ideal_point
 from .wavefunctions import CycleWaveParams, wave_profile
 
@@ -122,17 +123,23 @@ def _config_tokens(args: argparse.Namespace) -> list[str]:
 
 
 def _resolve_thermal(args) -> tuple[float, float]:
-    """(beta, lam) from at most one of --beta/--lam; neither means lam = 1."""
+    """(beta, lam) from at most one of --beta/--lam; neither means lam = 1.
+
+    lam^2, lam^3 and lam^d must be normal floats: every subcommand forms
+    one of them (beta, rho lam^3, the degeneracy)."""
     if args.beta is not None and args.lam is not None:
         raise ConfigError("give exactly one of --beta and --lam, got both")
     if args.beta is not None:
         if not args.beta > 0.0:
             raise ConfigError(f"beta must be positive, got {args.beta}")
-        return args.beta, math.sqrt(2.0 * math.pi * args.beta)
-    lam = 1.0 if args.lam is None else args.lam
-    if not lam > 0.0:
-        raise ConfigError(f"lam must be positive, got {lam}")
-    return lam**2 / (2.0 * math.pi), lam
+        lam = math.sqrt(2.0 * math.pi * args.beta)
+    else:
+        lam = 1.0 if args.lam is None else args.lam
+        if not lam > 0.0:
+            raise ConfigError(f"lam must be positive, got {lam}")
+    _require_length("thermal wavelength", "lambda", lam, 2, 3, getattr(args, "d", 3))
+    beta = lam**2 / (2.0 * math.pi) if args.beta is None else args.beta
+    return beta, lam
 
 
 def _resolve_density(args, lam: float) -> float:

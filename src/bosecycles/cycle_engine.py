@@ -5,10 +5,17 @@ The canonical partition function with cycle weights w_n obeys
     Q_M = (1/M) sum_{n=1}^{M} w_n Q_{M-n},   Q_0 = 1,
 
 and the density of particles in n-cycles is rho_n = rho w_n Q_{N-n} /
-(N Q_N).  Everything here works in log space because the ratios
-Q_{N-n}/Q_N are the only stable objects at large N.  The recursion is
-O(N^2); the default cap is N <= 10^5 (about a minute of dense numpy
-work at the cap).
+(N Q_N).  Q_N itself spans e^{10^4} and more, so the table keeps log Q_M
+and, next to it, the O(1) steps D_M = log Q_M - log Q_{M-1}.  Ratios
+such as log Q_{N-n} - log Q_N are reversed cumsums of D, so no two large
+logs are subtracted and sum_n rho_n = rho holds to 1e-12 up to the cap.
+
+The recursion is O(N^2), capped at N <= 10^5.  Rows come in blocks of
+256: the first block runs the exact log-space loop; each later block is
+tilted by the local slope of log Q (the scaling identity w_n -> c^n w_n
+makes the tilt exact), takes its terms from all earlier rows in one
+correlation, and finishes with a short triangular loop.  The cap takes
+about 1-3 s.
 """
 
 from __future__ import annotations
@@ -40,6 +47,14 @@ __all__ = [
 ]
 
 N_MAX = 100_000  # O(N^2) recursion cost cap
+
+_BLOCK = 256  # rows per block of the recursion; the first block runs the exact loop
+# Tilted blocks keep every factor and every result within e^{+-150} and flush
+# factors below e^{-350} to zero: products of kept factors are normal floats,
+# and a flushed term is below e^{-200}, far under the resolution of a sum
+# that is at least e^{-150}.
+_TILT_LOG_MAX = 150.0
+_FLUSH_LOG = 350.0
 
 WEIGHT_TAGS = ("ideal", "dcp-lower", "dcp-upper", "custom")
 
@@ -160,16 +175,31 @@ class CycleSpectrum:
 
 @dataclass
 class LogPartitionTable:
-    """log Q_M for M = 0..N, with the weights and params that produced it."""
+    """log Q_M for M = 0..N, with the weights and params that produced it.
+
+    ``D`` holds the steps D_M = log Q_M - log Q_{M-1} for M = 1..N (so
+    D[M-1] is D_M).  They stay O(1) where log Q itself reaches 10^4 and
+    beyond; when not given they are taken as np.diff(logQ).
+    """
 
     logQ: np.ndarray
     weights: WeightSequence
     params: SystemParams
+    D: np.ndarray | None = None
     _cum_cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.D is None:
+            self.D = np.diff(self.logQ)
 
     @property
     def N(self) -> int:
         return self.logQ.size - 1
+
+    def log_ratios(self) -> np.ndarray:
+        """log Q_{N-n} - log Q_N for n = 1..N, as a reversed cumsum of the
+        steps D, so that no two large logs are subtracted."""
+        return -_compensated_cumsum(self.D[::-1])
 
     def cycle_probabilities(self, M: int | None = None) -> np.ndarray:
         """P(n) = w_n Q_{M-n} / (M Q_M) for n = 1..M, renormalized to kill
@@ -181,6 +211,19 @@ class LogPartitionTable:
         logp = self.weights.log_w[:M] + self.logQ[M - 1 :: -1] - self.logQ[M]
         p = np.exp(logp - logp.max())
         return p / p.sum()
+
+
+def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
+    """np.cumsum(x) with the rounding error of every partial sum added back.
+
+    A plain cumsum of N terms of one sign drifts by up to N/2 ulps of the
+    running total; here each step's exact error comes from Knuth's TwoSum
+    and the errors are summed on their own."""
+    s = np.cumsum(x)
+    prev = np.concatenate(([0.0], s[:-1]))
+    added = s - prev
+    err = (prev - (s - added)) + (x - added)
+    return s + np.cumsum(err)
 
 
 @dataclass(frozen=True)
@@ -215,11 +258,65 @@ def _logsumexp(terms: np.ndarray) -> float:
     return float(m + np.log(np.exp(terms - m).sum()))
 
 
-def build_partition_table(params: SystemParams, weights: WeightSequence) -> LogPartitionTable:
-    """Run the cycle-weight recursion up to N in log space.
+def _exact_rows(log_w: np.ndarray, logQ: np.ndarray, D: np.ndarray, M0: int, M1: int) -> None:
+    """Fill logQ[M0:M1] and D[M0-1:M1-1] by the log-space recursion, one row at a time."""
+    for M in range(M0, M1):
+        terms = log_w[:M] + logQ[M - 1 :: -1]
+        logQ[M] = _logsumexp(terms) - math.log(M)
+    D[M0 - 1 : M1 - 1] = np.diff(logQ[M0 - 1 : M1])
 
-    The w == 1 fixed point gives logQ[M] = 0 bit-exactly: the max shift
-    is 0 and log(sum) and log(M) are the same float.
+
+def _flushed_exp(log_x: np.ndarray) -> np.ndarray:
+    # factors below e^{-_FLUSH_LOG} become exact zeros: subnormal floats would
+    # slow every product they enter, and their terms are below resolution
+    x = np.exp(log_x)
+    x[log_x < -_FLUSH_LOG] = 0.0
+    return x
+
+
+def _tilted_rows(log_w: np.ndarray, D: np.ndarray, M0: int, M1: int) -> np.ndarray | None:
+    """D_M for M = M0..M1-1 from the recursion tilted by b = D_{M0-1}.
+
+    With w~_n = w_n e^{-bn} and r_j = Q_j e^{-b(j-M0+1)} / Q_{M0-1} the
+    recursion keeps its form, M r_M = sum_n w~_n r_{M-n}, and both factors
+    stay near 1 where log Q bends slowly.  log r_j for j < M0 is a
+    reversed cumsum of D - b.  Returns None when a factor or a result
+    would pass e^{+-_TILT_LOG_MAX}.
+    """
+    b = D[M0 - 2]
+    log_wt = log_w[: M1 - 1] - b * np.arange(1, M1)
+    log_r_rev = np.concatenate(([0.0], -np.cumsum(D[M0 - 2 :: -1] - b)))  # log r_j, j = M0-1 down to 0
+    if log_wt.max() > _TILT_LOG_MAX or log_r_rev.max() > _TILT_LOG_MAX:
+        return None
+    wt = _flushed_exp(log_wt)
+    r_rev = _flushed_exp(log_r_rev)
+    # the terms with M - n < M0; zero tails of either factor add nothing
+    rows = M1 - M0
+    k = 1 + min(np.flatnonzero(r_rev).max(), np.flatnonzero(wt).max(initial=0))
+    cross = np.correlate(wt[: rows - 1 + k], r_rev[:k], "valid")
+    w_rev = wt[rows - 1 :: -1]  # sum_{n <= i} w~_n r_{M0+i-n} = w_rev[rows-i:] . r[:i]
+    r = np.empty(rows)
+    r[0] = cross[0] / M0
+    for i in range(1, rows):
+        r[i] = (cross[i] + w_rev[rows - i :].dot(r[:i])) / (M0 + i)
+    log_r = np.log(r)
+    if not np.all(np.abs(log_r) <= _TILT_LOG_MAX):
+        return None
+    return b + np.diff(log_r, prepend=0.0)
+
+
+def build_partition_table(params: SystemParams, weights: WeightSequence) -> LogPartitionTable:
+    """Run the cycle-weight recursion up to N.
+
+    The first _BLOCK rows run the exact log-space loop, so a table with
+    N <= _BLOCK is that loop's output bit for bit.  Each later block of
+    _BLOCK rows is tilted by the local slope of log Q and solved in linear
+    space: one correlation for the terms that reach back before the block,
+    then a short triangular loop inside it.  It yields the O(1) steps D_M,
+    and log Q is their running sum.  A block whose tilted logs leave the
+    float range runs the exact loop instead.
+
+    The w == 1 fixed point gives logQ[M] = 0 bit-exactly on both paths.
     """
     N = params.N
     if N > N_MAX:
@@ -228,17 +325,24 @@ def build_partition_table(params: SystemParams, weights: WeightSequence) -> LogP
         raise ValueError(f"weight sequence covers 1..{len(weights)}, need 1..{N}")
     log_w = weights.log_w
     logQ = np.zeros(N + 1)
-    for M in range(1, N + 1):
-        terms = log_w[:M] + logQ[M - 1 :: -1]
-        logQ[M] = _logsumexp(terms) - math.log(M)
-    return LogPartitionTable(logQ, weights, params)
+    D = np.empty(N)
+    _exact_rows(log_w, logQ, D, 1, min(N, _BLOCK) + 1)
+    for M0 in range(_BLOCK + 1, N + 1, _BLOCK):
+        M1 = min(M0 + _BLOCK, N + 1)
+        steps = _tilted_rows(log_w, D, M0, M1)
+        if steps is None:
+            _exact_rows(log_w, logQ, D, M0, M1)
+        else:
+            D[M0 - 1 : M1 - 1] = steps
+            logQ[M0:M1] = logQ[M0 - 1] + np.cumsum(steps)
+    return LogPartitionTable(logQ, weights, params, D)
 
 
 def cycle_density_spectrum(table: LogPartitionTable) -> CycleSpectrum:
     """rho_n = rho w_n Q_{N-n} / (N Q_N); sums to rho by the recursion."""
     params = table.params
     N = params.N
-    logp = table.weights.log_w[:N] + table.logQ[N - 1 :: -1] - table.logQ[N] - math.log(N)
+    logp = table.weights.log_w[:N] + table.log_ratios() - math.log(N)
     return CycleSpectrum(rho_n=params.rho * np.exp(logp), rho=params.rho, params=params)
 
 

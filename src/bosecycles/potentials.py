@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .cycle_engine import SystemParams, WeightSequence, build_partition_table
 from .special_fn import thermal_wavelength, zeta
@@ -59,6 +58,8 @@ class QuadratureError(RuntimeError):
 
 
 def _quad(fn, a: float, b: float, what: str, **kw) -> float:
+    from scipy.integrate import IntegrationWarning, quad  # deferred: import bosecycles stays numpy-only
+
     # the residual check below is the acceptance policy; scipy's advisory
     # roundoff warning duplicates it
     with warnings.catch_warnings():

@@ -20,8 +20,6 @@ import sys
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import exp1 as _exp1, gamma as _gamma, gammaincc as _gammaincc
-from scipy.special import zeta as _scipy_zeta
 
 __all__ = [
     "thermal_wavelength",
@@ -154,6 +152,8 @@ def zeta(s: float) -> float:
     s = float(s)
     if s <= 1.0:
         raise ValueError(f"zeta(s) with s <= 1 is outside the convergent range, got s={s}")
+    from scipy.special import zeta as _scipy_zeta  # deferred: import bosecycles stays numpy-only
+
     return float(_scipy_zeta(s))
 
 
@@ -163,6 +163,9 @@ def _power_exp_integral(s: float, t: float, a: float) -> float:
     # Gamma(p, x) = [Gamma(p+1, x) - x^p e^{-x}] / p
     if t == 0.0:
         return a ** (1.0 - s) / (s - 1.0)
+    # deferred, as in zeta
+    from scipy.special import exp1 as _exp1, gamma as _gamma, gammaincc as _gammaincc
+
     x = t * a
     p = 1.0 - s
     k = math.ceil(-p) + 1

@@ -368,7 +368,7 @@ def finite_size_scan(
         table = build_partition_table(params, weights)
         spectrum = cycle_density_spectrum(table)
         agg = aggregate_macroscopic(spectrum, eps)
-        occupation = float(np.exp(table.logQ[:-1][::-1] - table.logQ[-1]).sum())
+        occupation = float(np.exp(table.log_ratios()).sum())
         rows.append(
             ScanRow(
                 N=params.N,

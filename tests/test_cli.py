@@ -473,6 +473,22 @@ class TestFailedRuns:
         assert message in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mu", "--rho", "1", "--lam", "1e150"],
+            ["gain", "--c", "0.5", "--rho-v", "50", "--rho", "1", "--lam", "1e200"],
+            ["wavefn", "--n", "4", "--L", "1", "--y", "0.1", "--lam", "1e200"],
+            ["bounds", "--potential", "gaussian:0.5,0.8", "--rho", "1", "--lam", "1e120"],
+        ],
+        ids=["mu", "gain", "wavefn", "bounds"],
+    )
+    def test_thermal_wavelength_out_of_float_range(self, outdir, capsys, argv):
+        # lambda^2 or lambda^3 would overflow
+        assert main(argv) == EXIT_USAGE
+        assert "thermal wavelength lambda = " in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
 
 def _render(value) -> str:
     # the documented cell rule: float as repr, None empty, lists comma-joined
@@ -559,3 +575,17 @@ class TestOutputPlumbing:
         )
         assert proc.returncode == 0
         assert "mu = " in proc.stdout
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        # scipy is imported where quadrature and special functions run, so
+        # a bare import stays numpy-only and the CLI starts fast
+        package_root = Path(bosecycles.__file__).resolve().parents[1]
+        code = "import sys, bosecycles; print('scipy.integrate' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)},
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"

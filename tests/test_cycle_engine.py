@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bosecycles import cycle_engine
 from bosecycles.cycle_engine import (
     N_MAX,
     CycleType,
+    LogPartitionTable,
     SystemParams,
     WeightSequence,
     aggregate_macroscopic,
@@ -25,6 +27,9 @@ from bosecycles.cycle_engine import (
     sample_cycle_type,
     verify_auxiliary_identity,
 )
+from bosecycles.potentials import dcp_bound_weights, gaussian_potential
+
+ZETA32 = 2.6123753486854883
 
 
 def _ideal_table(d=3, N=64, rho_lam_d=2.0, beta=1.0):
@@ -204,6 +209,98 @@ class TestSpectrum:
         assert devs[2048] < 1e-8
         assert devs[2048] < devs[512]
 
+
+def _exact_log_q(log_w, N):
+    """The row-by-row log-space recursion, as a reference for the blocked build."""
+    logQ = np.zeros(N + 1)
+    for M in range(1, N + 1):
+        terms = log_w[:M] + logQ[M - 1 :: -1]
+        top = terms.max()
+        logQ[M] = top + math.log(np.exp(terms - top).sum()) - math.log(M)
+    return logQ
+
+
+def _rel_log_q_error(table, ref):
+    return float(np.max(np.abs(table.logQ - ref) / np.maximum(1.0, np.abs(ref))))
+
+
+def _norm_residual(spectrum):
+    return math.fsum(spectrum.rho_n) / spectrum.rho - 1.0
+
+
+class TestBlockedRecursion:
+    @pytest.mark.parametrize("fraction", [0.5, 0.7, 0.9])
+    def test_normalization_below_transition_at_16000(self, fraction):
+        # |log Q_N| > 2^13 here, where one ulp of log Q_N alone is 1.8e-12
+        t = _ideal_table(N=16000, rho_lam_d=fraction * ZETA32)
+        assert abs(_norm_residual(cycle_density_spectrum(t))) <= 1e-12
+
+    @pytest.mark.parametrize("edge", ["lower", "upper"])
+    def test_normalization_with_dcp_weights_at_16000(self, edge):
+        # log w_n runs to -960 (lower) and +4000 (upper), and each ratio sums
+        # thousands of steps D of one sign
+        p = SystemParams.from_degeneracy(3, 16000, 2.0 * ZETA32, 1.0)
+        lower, upper = dcp_bound_weights(p, gaussian_potential(0.5, 0.8, d=3))
+        t = build_partition_table(p, lower if edge == "lower" else upper)
+        assert abs(_norm_residual(cycle_density_spectrum(t))) <= 1e-12
+
+    def test_normalization_at_cap(self):
+        t = _ideal_table(N=N_MAX, rho_lam_d=0.7 * ZETA32)
+        assert abs(_norm_residual(cycle_density_spectrum(t))) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["below", "above", "lognormal", "dcp-lower", "dcp-upper"])
+    def test_matches_exact_loop(self, case):
+        N = 4096
+        if case == "lognormal":
+            p = SystemParams(d=3, L=1.0, N=N, beta=1.0)
+            w = WeightSequence(np.random.default_rng(11).normal(0.0, 1.0, N))
+        else:
+            p = SystemParams.from_degeneracy(3, N, (0.7 if case == "below" else 2.0) * ZETA32, 1.0)
+            w = WeightSequence.ideal(p)
+            if case.startswith("dcp"):
+                lower, upper = dcp_bound_weights(p, gaussian_potential(0.5, 0.8, d=3))
+                w = lower if case == "dcp-lower" else upper
+        assert _rel_log_q_error(build_partition_table(p, w), _exact_log_q(w.log_w, N)) <= 1e-13
+
+    def test_overflowing_tilt_falls_back_to_exact_loop(self, monkeypatch):
+        # one weight of e^400 puts the tilted factors of every block that
+        # reaches n = 700 beyond the float range
+        N = 1000
+        log_w = np.zeros(N)
+        log_w[699] = 400.0
+        exact_blocks = []
+        exact_rows = cycle_engine._exact_rows
+
+        def spy(log_w, logQ, D, M0, M1):
+            exact_blocks.append(M0)
+            exact_rows(log_w, logQ, D, M0, M1)
+
+        monkeypatch.setattr(cycle_engine, "_exact_rows", spy)
+        t = build_partition_table(SystemParams(d=3, L=1.0, N=N, beta=1.0), WeightSequence(log_w))
+        assert exact_blocks == [1, 513, 769]
+        assert _rel_log_q_error(t, _exact_log_q(log_w, N)) <= 1e-13
+
+    def test_constant_weights_fixed_point_bit_exact(self):
+        t = build_partition_table(SystemParams(d=3, L=5.0, N=1000, beta=1.0), _const_weights(1000))
+        assert np.all(t.logQ == 0.0)
+        assert np.all(t.D == 0.0)
+
+    @pytest.mark.parametrize("c", [1e-3, 1e3])
+    def test_weight_scaling_identity(self, c):
+        # w_n -> c^n w_n multiplies Q_N by c^N
+        N = 4096
+        p = SystemParams.from_degeneracy(3, N, 2.0 * ZETA32, 1.0)
+        w = WeightSequence.ideal(p)
+        base = build_partition_table(p, w).logQ[N]
+        scaled = build_partition_table(p, w.rescaled(np.arange(1, N + 1) * math.log(c))).logQ[N]
+        assert scaled - base == pytest.approx(N * math.log(c), rel=1e-13)
+
+    def test_table_from_log_q_alone(self):
+        t = _ideal_table(N=600)
+        again = LogPartitionTable(t.logQ, t.weights, t.params)
+        assert np.array_equal(again.D, np.diff(t.logQ))
+        assert np.allclose(t.D, again.D, rtol=0.0, atol=1e-12)
+        assert np.allclose(cycle_density_spectrum(again).rho_n, cycle_density_spectrum(t).rho_n, rtol=1e-12)
 
 
 class TestSampler:
