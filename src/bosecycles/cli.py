@@ -5,12 +5,14 @@ involved) produces byte-identical output files.  Every subcommand writes
 its file through one emitter: a CSV output starts with a provenance block
 of ``# key = value`` lines echoing the resolved parameters, defaults
 included, and a JSON output holds the same fields, in the same order,
-under its ``config`` entry.  The output path is opened only once the whole
-file is rendered, so a failed run leaves any earlier file in place.  Relative output paths land
-under ``$BOSECYCLES_OUTDIR`` when set.
+under its ``config`` entry.  The whole file is rendered in memory and the
+output path is opened only then, with one write, so a failed run leaves
+any earlier file in place.  Relative output paths land under
+``$BOSECYCLES_OUTDIR`` when set.
 
 Parameters can come from a plain-text config file (``key = value`` lines,
-``#`` comments) named with ``--config``.  Each entry is parsed as the flag
+``#`` comments, read as potential definition files are) named with
+``--config``.  Each entry is parsed as the flag
 of the same name (``--key=value``, underscores as dashes), so it meets the
 same type and choice checks; command-line flags win over file entries.
 The system is fixed by exactly one of ``--L``, ``--rho``, ``--rho-lambda3``
@@ -24,24 +26,17 @@ tolerance failure.
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import math
 import os
-import shutil
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from .coupling import (
-    CouplingParams,
-    census_rows,
-    coupling_sweep,
-    enumerate_merger_graphs,
-    optimize_coupling,
-)
+from .coupling import CouplingParams, coupling_sweep, enumerate_merger_graphs, optimize_coupling
 from .cycle_engine import (
     SystemParams,
     WeightSequence,
@@ -51,7 +46,7 @@ from .cycle_engine import (
     cycle_density_spectrum,
     sample_cycle_type,
 )
-from .potentials import gaussian_potential, free_energy_bounds, load_potential
+from .potentials import _read_keyvalue, gaussian_potential, free_energy_bounds, load_potential
 from .special_fn import _require_length
 from .thermo import ScanRow, finite_size_scan, ideal_point
 from .wavefunctions import CycleWaveParams, wave_profile
@@ -94,24 +89,11 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _read_config(path: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    with open(path) as fp:
-        for lineno, raw in enumerate(fp, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            entries[key.replace("-", "_")] = value
-    return entries
-
-
 def _config_tokens(args: argparse.Namespace) -> list[str]:
     """The config file's entries as ``--key=value`` flags of this subcommand."""
+    entries = {key.replace("-", "_"): text for key, text in _read_keyvalue(args.config).items()}
     tokens = []
-    for key, text in _read_config(args.config).items():
+    for key, text in entries.items():
         if key in ("config", "func", "command") or not hasattr(args, key):
             raise ConfigError(f"unknown config key for this subcommand: {key!r}")
         tokens.append(f"--{key.replace('_', '-')}={text}")
@@ -169,6 +151,16 @@ def _resolve_system(args) -> SystemParams:
     if args.L is not None:
         return SystemParams(d=args.d, L=args.L, N=args.N, beta=beta)
     return SystemParams.from_density(args.d, args.N, _resolve_density(args, lam), beta)
+
+
+def _weights_and_system(args, params: SystemParams) -> tuple[WeightSequence, dict]:
+    """The run's cycle weights (ideal, or the --weights file) and the
+    system block d, N, L, rho, beta, lam of its config."""
+    if args.weights is None:
+        weights = WeightSequence.ideal(params)
+    else:
+        weights = _load_weight_file(args.weights, params.N)
+    return weights, {key: getattr(params, key) for key in ("d", "N", "L", "rho", "beta", "lam")}
 
 
 def _load_weight_file(path: str, N: int) -> WeightSequence:
@@ -233,10 +225,9 @@ def _output_path(args, stem: str) -> Path:
 
 
 def _cell(value) -> str:
-    """One rendering for provenance values and CSV cells: float as repr,
-    None as empty, a list as its comma-joined items, the rest as str."""
-    if isinstance(value, float):
-        return repr(value)
+    """One rendering for provenance values and CSV cells: None as empty, a
+    list as its comma-joined items, the rest as str (a float's str is its
+    shortest round-trip repr)."""
     if value is None:
         return ""
     if isinstance(value, list):
@@ -254,22 +245,21 @@ def _emit(args, config: dict, header, rows, payload: dict) -> Path:
 
     CSV: ``config`` as ``# key = value`` lines, the header, then ``rows``
     (any iterable, consumed once).  JSON: ``{"config": config, **payload}``.
-    The whole file is rendered into an anonymous temporary file before the
-    output path is opened, so a run that fails while producing rows leaves
-    no file behind and an earlier file untouched.
+    The whole file is rendered in memory before the output path is opened,
+    so a run that fails while producing rows leaves no file behind and an
+    earlier file untouched; the one open follows a symlinked output path.
     """
-    with tempfile.TemporaryFile("w+") as tmp:
-        if args.format == "json":
-            json.dump({"config": config, **payload}, tmp, indent=2)
-            tmp.write("\n")
-        else:
-            tmp.writelines(f"# {key} = {_cell(val)}\n" for key, val in config.items())
-            tmp.write(",".join(header) + "\n")
-            tmp.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
-        tmp.seek(0)
-        path = _output_path(args, config["command"])
-        with open(path, "w") as fp:
-            shutil.copyfileobj(tmp, fp)
+    buf = io.StringIO()
+    if args.format == "json":
+        json.dump({"config": config, **payload}, buf, indent=2)
+        buf.write("\n")
+    else:
+        buf.writelines(f"# {key} = {_cell(val)}\n" for key, val in config.items())
+        buf.write(",".join(header) + "\n")
+        buf.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+    path = _output_path(args, config["command"])
+    with open(path, "w") as fp:
+        fp.write(buf.getvalue())
     return path
 
 
@@ -279,21 +269,13 @@ def _emit(args, config: dict, header, rows, payload: dict) -> Path:
 
 def cmd_spectrum(args) -> int:
     params = _resolve_system(args)
-    if args.weights is None:
-        weights = WeightSequence.ideal(params)
-    else:
-        weights = _load_weight_file(args.weights, params.N)
+    weights, system = _weights_and_system(args, params)
     table = build_partition_table(params, weights)
     spectrum = cycle_density_spectrum(table)
     agg = aggregate_macroscopic(spectrum, args.eps)
     config = {
         "command": "spectrum",
-        "d": params.d,
-        "N": params.N,
-        "L": params.L,
-        "rho": params.rho,
-        "beta": params.beta,
-        "lam": params.lam,
+        **system,
         "eps": args.eps,
         "weights": args.weights if args.weights else "ideal",
     }
@@ -391,21 +373,13 @@ def cmd_sample(args) -> int:
     params = _resolve_system(args)
     if args.draws < 1:
         raise ConfigError(f"--draws must be >= 1, got {args.draws}")
-    if args.weights is None:
-        weights = WeightSequence.ideal(params)
-    else:
-        weights = _load_weight_file(args.weights, params.N)
+    weights, system = _weights_and_system(args, params)
     table = build_partition_table(params, weights)
     rng = np.random.default_rng(args.seed)
     types = [sample_cycle_type(table, rng) for _ in range(args.draws)]
     config = {
         "command": "sample",
-        "d": params.d,
-        "N": params.N,
-        "L": params.L,
-        "rho": params.rho,
-        "beta": params.beta,
-        "lam": params.lam,
+        **system,
         "seed": args.seed,
         "draws": args.draws,
         "weights": args.weights if args.weights else "ideal",
@@ -438,10 +412,10 @@ def cmd_merger(args) -> int:
     # full row dump only at sizes where the JSON stays manageable
     if args.format == "json" and census.total <= 65536:
         payload["rows"] = [
-            {"multiplicities": list(mults), "delta": delta, "K": K}
-            for mults, delta, K in census_rows(vertices, max_mult)
+            {"multiplicities": mults, "delta": delta, "K": K}
+            for mults, delta, K in census.rows()
         ]
-    rows = ((*mults, delta, K) for mults, delta, K in census_rows(vertices, max_mult))
+    rows = ((*mults, delta, K) for mults, delta, K in census.rows())
     path = _emit(args, config, header, rows, payload)
     hist = "  ".join(f"K={k}:{census.k_histogram[k]}" for k in sorted(census.k_histogram))
     print(f"graphs = {census.total}  admissible = {census.admissible}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "optimize_coupling",
     "finite_size_gain_rate",
     "enumerate_merger_graphs",
-    "census_rows",
     "coupling_sweep",
 ]
 
@@ -43,7 +42,7 @@ _SEARCH_MAX_VERTICES = 8
 _SEARCH_MAX_EDGES = 48
 _EXACT_FACTORIAL_N_MAX = 200
 _GOLDEN_XATOL = 1e-12
-_ROW_CHUNK = 65536  # census rows turned into Python tuples at a time
+_ROW_CHUNK = 4096  # census rows turned into Python tuples at a time (bounds the transients)
 
 
 def _pair_list(n: int) -> list[tuple[int, int]]:
@@ -381,7 +380,9 @@ def coupling_sweep(params: CouplingParams, num: int = 101) -> list[SweepRow]:
 
 @dataclass(frozen=True)
 class CouplingCensus:
-    """Summary of an exhaustive enumeration of multigraphs."""
+    """Summary of an exhaustive enumeration of multigraphs, with the
+    census arrays it was read from: every multiplicity vector, its Delta
+    and its K, in itertools.product order over the pairs."""
 
     n_vertices: int
     max_multiplicity: int
@@ -389,6 +390,23 @@ class CouplingCensus:
     admissible: int  # graphs with Delta = 1
     k_histogram: dict  # K -> count over admissible graphs
     cross_checked: bool
+    vecs: np.ndarray = field(compare=False, repr=False)
+    delta: np.ndarray = field(compare=False, repr=False)
+    k_vals: np.ndarray = field(compare=False, repr=False)
+
+    def rows(self):
+        """Yield (multiplicities, Delta, K-or-None) for every multigraph, in
+        itertools.product order over the pairs (the last pair varies fastest).
+
+        MergerMultigraph, is_merger_graph and k_index remain the
+        graph-by-graph oracle for these rows.
+        """
+        for start in range(0, self.total, _ROW_CHUNK):
+            chunk = slice(start, start + _ROW_CHUNK)
+            for mults, ok, K in zip(
+                self.vecs[chunk].tolist(), self.delta[chunk].tolist(), self.k_vals[chunk].tolist()
+            ):
+                yield tuple(mults), int(ok), (K if ok else None)
 
 
 def _census_arrays(n_vertices: int, max_multiplicity: int):
@@ -484,19 +502,8 @@ def enumerate_merger_graphs(
         admissible=admissible,
         k_histogram=k_histogram,
         cross_checked=cross_check,
+        vecs=vecs,
+        delta=delta,
+        k_vals=k_vals,
     )
 
-
-def census_rows(n_vertices: int, max_multiplicity: int = 3):
-    """Yield (multiplicities, Delta, K-or-None) for every multigraph, in
-    itertools.product order over the pairs (the last pair varies fastest).
-
-    The rows are read off the vectorized census; MergerMultigraph,
-    is_merger_graph and k_index remain the graph-by-graph oracle for them.
-    """
-    _check_size_cap(n_vertices, max_multiplicity)
-    _, vecs, delta, k_vals = _census_arrays(n_vertices, max_multiplicity)
-    for start in range(0, len(vecs), _ROW_CHUNK):
-        chunk = slice(start, start + _ROW_CHUNK)
-        for mults, ok, K in zip(vecs[chunk].tolist(), delta[chunk].tolist(), k_vals[chunk].tolist()):
-            yield tuple(mults), int(ok), (K if ok else None)

@@ -545,16 +545,19 @@ def validate_conditions(
     )
 
 
-def _parse_keyvalue(text: str) -> dict:
+def _read_keyvalue(path) -> dict[str, str]:
+    """Entries of a 'key = value' file; '#' starts a comment, blank lines
+    are skipped, a later entry overrides an earlier one."""
     out = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"expected 'key = value', got {raw!r}")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+    with open(path) as fp:
+        for lineno, raw in enumerate(fp, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+            key, val = line.split("=", 1)
+            out[key.strip()] = val.strip()
     return out
 
 
@@ -588,7 +591,7 @@ def load_potential(path) -> PairPotential:
     support, infinite exponent).  d defaults to 3.
     """
     path = Path(path)
-    spec = _parse_keyvalue(path.read_text())
+    spec = _read_keyvalue(path)
     kind = spec.get("kind")
     d = int(spec.get("d", 3))
     if kind == "gaussian":

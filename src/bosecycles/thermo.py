@@ -63,14 +63,17 @@ def _require_condensing_dimension(d: int) -> None:
         )
 
 
-def _certified_sum(terms: np.ndarray, what: str) -> float:
-    """Sum positive terms, certifying a geometric bound on the truncated tail.
+def _certified_series(log_w: np.ndarray, t: float, s: float, what: str) -> float:
+    """Sum exp(log_w[n-1] + t n - s log n) over n = 1..len(log_w),
+    certifying a geometric bound on the truncated tail.
 
     The bound uses the largest ratio among the last few terms; it is valid
     whenever the decay past the end of the array is at least that fast.
     Polynomially decaying tails can never be certified this way and raise
     TruncationError, as do growing tails.
     """
+    n = np.arange(1, log_w.size + 1, dtype=float)
+    terms = np.exp(log_w + t * n - s * np.log(n))
     total = float(terms.sum())
     last = float(terms[-1])
     if last == 0.0:
@@ -163,9 +166,8 @@ class DcpModel:
         _require_condensing_dimension(d)
         if b is None:
             b = phi.rate if phi.rate is not None else estimate_rate(phi)
-        n = np.arange(1, len(phi) + 1, dtype=float)
-        terms = np.exp(phi.log_w - b * n - (d / 2.0) * np.log(n))
-        zeta_dcp = _certified_sum(terms, "saturation sum over phi_n e^{-bn}/n^{d/2}")
+        what = "saturation sum over phi_n e^{-bn}/n^{d/2}"
+        zeta_dcp = _certified_series(phi.log_w, -b, d / 2.0, what)
         return cls(phi=phi, b=float(b), mu_bar=-b / beta, zeta_dcp=zeta_dcp, beta=beta, d=d)
 
     def log_phi(self, n) -> np.ndarray:
@@ -184,9 +186,8 @@ class DcpModel:
             raise ValueError(f"beta*mu = {beta_mu} exceeds the saturation point {-self.b}")
         if self.gamma is not None:
             return polylog(self.gamma + self.d / 2.0, math.exp(y))
-        n = np.arange(1, len(self.phi) + 1, dtype=float)
-        terms = np.exp(self.phi.log_w + (y - self.b) * n - (self.d / 2.0) * np.log(n))
-        return _certified_sum(terms, "cycle sum over phi_n e^{beta mu n}/n^{d/2}")
+        what = "cycle sum over phi_n e^{beta mu n}/n^{d/2}"
+        return _certified_series(self.phi.log_w, y - self.b, self.d / 2.0, what)
 
 
 @dataclass(frozen=True)
@@ -321,9 +322,8 @@ def dcp_point(rho: float, beta: float, model: DcpModel, d: int = 3) -> ThermoPoi
     if model.gamma is not None:
         tail = polylog(1.0 + model.gamma + d / 2.0, math.exp(y))
     else:
-        n = np.arange(1, len(model.phi) + 1, dtype=float)
-        terms = np.exp(model.phi.log_w + (y - model.b) * n - (1.0 + d / 2.0) * np.log(n))
-        tail = _certified_sum(terms, "free-energy sum over phi_n e^{beta mu n}/n^{1+d/2}")
+        what = "free-energy sum over phi_n e^{beta mu n}/n^{1+d/2}"
+        tail = _certified_series(model.phi.log_w, y - model.b, 1.0 + d / 2.0, what)
     return ThermoPoint(
         rho=rho,
         beta=beta,

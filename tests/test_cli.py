@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import bosecycles
+from bosecycles import coupling
 from bosecycles.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from bosecycles.coupling import CouplingParams, coupling_gain_rate
 from bosecycles.cycle_engine import (
@@ -290,6 +291,20 @@ class TestMerger:
 
     def test_size_cap(self, outdir):
         assert main(["merger", "--vertices", "6"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_census_built_once(self, outdir, monkeypatch, fmt):
+        calls = []
+        build = coupling._census_arrays
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(coupling, "_census_arrays", counted)
+        argv = ["merger", "--vertices", "4", "--max-multiplicity", "2", "--format", fmt]
+        assert main(argv) == EXIT_OK
+        assert calls == [(4, 2)]
 
 
 class TestGain:

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import zeta
 
 from bosecycles import cycle_engine
 from bosecycles.cycle_engine import (
@@ -416,6 +417,17 @@ class TestAggregateMacroscopic:
         for eps in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 aggregate_macroscopic(s, eps)
+
+    @pytest.mark.parametrize("N", [1024, 4096, 8192])
+    def test_macro_excess_is_the_normal_fluid_tail(self, N):
+        # at rho lam^3 = 2 zeta(3/2) half the particles condense; the window
+        # n >= eps N also holds the normal fluid's long cycles, rho_n lam^3
+        # ~ n^{-3/2}, so the macro fraction exceeds 1/2 by the Hurwitz tail
+        # zeta(3/2, ceil(eps N)) / (rho lam^3)
+        eps, rho_lam3 = 0.01, 2.0 * ZETA32
+        s = cycle_density_spectrum(_ideal_table(N=N, rho_lam_d=rho_lam3, beta=1.0))
+        excess = aggregate_macroscopic(s, eps).macro / s.rho - 0.5
+        assert excess == pytest.approx(zeta(1.5, math.ceil(eps * N)) / rho_lam3, abs=5e-4)
 
     def test_macro_plus_rest_is_total(self):
         t = _ideal_table(N=256, rho_lam_d=6.0)

@@ -1,6 +1,7 @@
 """Tests for pair potentials and the interaction bounds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -609,6 +610,12 @@ class TestPotentialFiles:
         fp = tmp_path / "pot.txt"
         fp.write_text("kind gaussian\n")
         with pytest.raises(ValueError, match="key = value"):
+            load_potential(fp)
+
+    def test_malformed_line_names_path_and_line(self, tmp_path):
+        fp = tmp_path / "pot.txt"
+        fp.write_text("# a gaussian\nkind = gaussian\ng 1.0\nsigma = 0.5\n")
+        with pytest.raises(ValueError, match=re.escape(f"{fp}:3: expected 'key = value'")):
             load_potential(fp)
 
     def test_malformed_profile_row(self, tmp_path):
