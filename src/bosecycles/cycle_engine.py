@@ -16,13 +16,17 @@ tilted by the local slope of log Q (the scaling identity w_n -> c^n w_n
 makes the tilt exact), takes its terms from all earlier rows in one
 correlation, and finishes with a short triangular loop.  The cap takes
 about 1-3 s.
+
+Exact cycle types are drawn by chop-down inversion of the same law:
+each step walks n = 1, 2, ... over the terms w_n Q_{M-n}/Q_M, so a draw
+costs O(N) in all and leaves no state on the table.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -186,7 +190,6 @@ class LogPartitionTable:
     weights: WeightSequence
     params: SystemParams
     D: np.ndarray | None = None
-    _cum_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.D is None:
@@ -196,19 +199,22 @@ class LogPartitionTable:
     def N(self) -> int:
         return self.logQ.size - 1
 
-    def log_ratios(self) -> np.ndarray:
-        """log Q_{N-n} - log Q_N for n = 1..N, as a reversed cumsum of the
-        steps D, so that no two large logs are subtracted."""
-        return -_compensated_cumsum(self.D[::-1])
+    def log_ratios(self, M: int | None = None) -> np.ndarray:
+        """log Q_{M-n} - log Q_M for n = 1..M (M defaults to N), as a
+        reversed cumsum of the steps D, so that no two large logs are
+        subtracted."""
+        if M is None:
+            M = self.N
+        if not 1 <= M <= self.N:
+            raise ValueError(f"M must lie in 1..{self.N}, got {M}")
+        return -_compensated_cumsum(self.D[M - 1 :: -1])
 
     def cycle_probabilities(self, M: int | None = None) -> np.ndarray:
         """P(n) = w_n Q_{M-n} / (M Q_M) for n = 1..M, renormalized to kill
         the last-digit rounding so the array is an exact distribution."""
         if M is None:
             M = self.N
-        if not 1 <= M <= self.N:
-            raise ValueError(f"M must lie in 1..{self.N}, got {M}")
-        logp = self.weights.log_w[:M] + self.logQ[M - 1 :: -1] - self.logQ[M]
+        logp = self.weights.log_w[:M] + self.log_ratios(M)
         p = np.exp(logp - logp.max())
         return p / p.sum()
 
@@ -350,18 +356,31 @@ def sample_cycle_type(table: LogPartitionTable, seed) -> CycleType:
     """Draw one exact cycle type: the tagged particle's cycle length n has
     probability w_n Q_{M-n}/(M Q_M), the n particles are removed, and the
     draw recurses on M - n.  ``seed`` is a 64-bit integer or an existing
-    numpy Generator (for repeated sampling without re-seeding)."""
+    numpy Generator (for repeated sampling without re-seeding).
+
+    Each step takes one uniform u and walks n = 1, 2, ... adding up
+    w_n Q_{M-n}/Q_M (its log a running sum of the steps D) until the sum
+    passes u M; the terms add up to M, and a sum that rounding leaves
+    short at n = M returns M.  A step that returns n sums n terms and the
+    lengths add up to N, so a draw costs O(N) whatever the table, and the
+    table keeps nothing of it.
+    """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    log_w = table.weights.log_w[: table.N].tolist()
+    D = table.D.tolist()
+    exp = math.exp
     parts = []
     M = table.N
     while M > 0:
-        cum = table._cum_cache.get(M)
-        if cum is None:
-            cum = np.cumsum(table.cycle_probabilities(M))
-            cum[-1] = 1.0
-            table._cum_cache[M] = cum
-        n = int(np.searchsorted(cum, rng.random(), side="right")) + 1
-        n = min(n, M)
+        target = rng.random() * M
+        total = log_ratio = 0.0
+        n = 0
+        while n < M:
+            log_ratio -= D[M - 1 - n]  # log Q_{M-n-1} - log Q_M
+            total += exp(log_w[n] + log_ratio)
+            n += 1
+            if total > target:
+                break
         parts.append(n)
         M -= n
     return CycleType(tuple(parts))

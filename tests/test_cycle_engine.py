@@ -7,6 +7,7 @@ for the recursion; closed forms for N = 2, 3 are asserted directly.
 
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
@@ -303,6 +304,25 @@ class TestBlockedRecursion:
         assert np.allclose(t.D, again.D, rtol=0.0, atol=1e-12)
         assert np.allclose(cycle_density_spectrum(again).rho_n, cycle_density_spectrum(t).rho_n, rtol=1e-12)
 
+    def test_log_ratios_at_every_m(self):
+        t = _ideal_table(N=600, rho_lam_d=0.9 * ZETA32)
+        assert np.array_equal(t.log_ratios(), t.log_ratios(600))
+        for M in (1, 2, 257, 599):
+            assert np.allclose(t.log_ratios(M), t.logQ[M - 1 :: -1] - t.logQ[M], rtol=0.0, atol=1e-12)
+        for M in (0, 601):
+            with pytest.raises(ValueError, match="M must lie"):
+                t.log_ratios(M)
+
+    def test_probabilities_match_spectrum_fractions(self):
+        # both take their ratios from the steps D; subtracting log Q entries
+        # near 2^13 instead leaves them up to 3.8e-12 apart
+        N = 16000
+        t = _ideal_table(N=N, rho_lam_d=0.9 * ZETA32)
+        probs = t.cycle_probabilities(N)
+        fractions = cycle_density_spectrum(t).fractions
+        keep = fractions > 1e-200
+        assert np.max(np.abs(probs[keep] / fractions[keep] - 1.0)) <= 1e-13
+
 
 class TestSampler:
     def test_single_particle_always_one_cycle(self):
@@ -358,6 +378,87 @@ class TestSampler:
         got = float(np.mean(vals))
         sigma = math.sqrt(macro_frac * (1 - macro_frac) / nsamp)
         assert abs(got - macro_frac) <= 3 * sigma
+
+    @pytest.mark.parametrize(
+        "N,rho_lam_d", [(64, 0.7 * ZETA32), (64, 2.0 * ZETA32), (2048, 0.9 * ZETA32), (2048, 2.0 * ZETA32), (1024, None)]
+    )
+    def test_matches_cumulative_table_sampler(self, N, rho_lam_d):
+        # the inversion walks the same law as a searchsorted over the
+        # normalized cumulative table, so the draws agree part for part
+        if rho_lam_d is None:  # lognormal weights: log Q is not concave
+            p = SystemParams(d=3, L=1.0, N=N, beta=1.0)
+            t = build_partition_table(p, WeightSequence(np.random.default_rng(3).normal(0.0, 1.0, N)))
+        else:
+            t = _ideal_table(N=N, rho_lam_d=rho_lam_d)
+        cumulative = {}
+        for seed in range(200):
+            assert sample_cycle_type(t, seed).parts == _reference_draw(t, seed, cumulative)
+
+    def test_draws_leave_the_table_unchanged(self):
+        t = _ideal_table(N=4096, rho_lam_d=2.0 * ZETA32)
+        before = _array_bytes(t)
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            sample_cycle_type(t, rng)
+        assert _array_bytes(t) <= before
+
+    def test_draw_at_cap(self):
+        t = _ideal_table(N=N_MAX, rho_lam_d=2.0 * ZETA32)
+        assert sample_cycle_type(t, 99).N == N_MAX
+
+
+def _reference_draw(table, seed, cumulative):
+    """Cycle type by inversion of the normalized cumulative table at each M,
+    with its last entry clamped to 1; ``cumulative`` caches the tables."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    M = table.N
+    while M > 0:
+        if M not in cumulative:
+            cumulative[M] = np.cumsum(table.cycle_probabilities(M))
+            cumulative[M][-1] = 1.0
+        n = int(np.searchsorted(cumulative[M], rng.random(), side="right")) + 1
+        parts.append(n)
+        M -= n
+    return tuple(parts)
+
+
+def _array_bytes(obj):
+    """Bytes of the numpy arrays reachable from ``obj``."""
+    seen, stack, total = set(), [obj], 0
+    while stack:
+        item = stack.pop()
+        if id(item) in seen or isinstance(item, (type, str, bytes, int, float)):
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            total += item.nbytes
+        else:
+            stack.extend(gc.get_referents(item))
+    return total
+
+
+GOLOMB_DICKMAN = 0.6243299885435508
+
+
+class TestPoissonDirichlet:
+    def test_largest_macro_cycle_share_tends_to_golomb_dickman(self):
+        # above rho_c the macroscopic cycles, scaled by their total length,
+        # follow PD(1), whose largest part has mean 0.62433 (Suto 1993;
+        # Betz & Ueltschi 2011); cycles below eps N are left out
+        eps = 0.01
+        means = {}
+        for N, draws in ((1024, 2000), (4096, 1500)):
+            t = _ideal_table(N=N, rho_lam_d=2.0 * ZETA32)
+            rng = np.random.default_rng(1993)
+            lo = math.ceil(eps * N)
+            shares = []
+            for _ in range(draws):
+                macro = [n for n in sample_cycle_type(t, rng).parts if n >= lo]
+                shares.append(max(macro) / sum(macro))
+            means[N] = float(np.mean(shares))
+        assert abs(means[4096] - GOLOMB_DICKMAN) <= 0.02
+        assert abs(means[4096] - GOLOMB_DICKMAN) < abs(means[1024] - GOLOMB_DICKMAN)
 
 
 class TestAuxiliaryIdentity:

@@ -1,11 +1,14 @@
-"""Before/after benchmark of the cycle-weight recursion on an N ladder.
+"""Before/after benchmarks of the cycle-weight recursion and of the sampler.
 
     python3 tools/bench_recursion.py --before ../parent --after . -o BENCH_recursion.json
+    python3 tools/bench_recursion.py --mode sampling --before ../parent --after . -o BENCH_sampling.json
 
 ``--before`` and ``--after`` are source checkouts (each with ``src/`` and
-``perfbench/``).  For each checkout, in a fresh process that imports its
-``src/``, and for each N of the ladder and each rho*lambda^3 (below and
-above the d = 3 transition), it records:
+``perfbench/``).  Each checkout is measured in a fresh process that
+imports its ``src/``.
+
+``--mode recursion`` (the default), for each N of the ladder and each
+rho*lambda^3 (below and above the d = 3 transition), records:
 
 - the wall time of ``build_partition_table`` (best of 3 below N = 20000,
   one run above);
@@ -14,15 +17,23 @@ above the d = 3 transition), it records:
   N = 16000, in long double;
 - sum_n rho_n / rho - 1 of ``cycle_density_spectrum``, summed with fsum.
 
-It then runs ``perfbench/run.py --workload recursion --trace 1`` once in
-each checkout and keeps the ``build_partition_table`` layer metrics and
-the accuracy metrics.  Run
+``--mode sampling``, for each (N, draws) job at rho*lambda^3 = 2 zeta(3/2),
+draws the cycle types from one seeded Generator and records the wall
+time per draw (and of the first, cold, draw) and the MB of numpy arrays
+the table holds before and after its draws.  The after checkout also
+draws once at ``N_MAX``; the before side skips that row, because the
+cumulative-table sampler held 3.3 GB after one draw there.  Each job
+counts the draws that are identical on both sides.
+
+Then ``perfbench/run.py --workload <mode> --trace 1`` runs once in each
+checkout and the layer and accuracy metrics of that mode are kept.  Run
 both checkouts on the same machine with nothing else running.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -32,18 +43,30 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 LADDER = (4096, 8192, 16000, 32000, 64000, 100000)
 ZETA_3_2 = 2.6123753486854883
 DEGENERACIES = {"below": 0.7 * ZETA_3_2, "above": 2.0 * ZETA_3_2}
 LONGDOUBLE_N_MAX = 16000  # the long-double reference takes ~15 s at 16000, ~90 s at 32000
+SAMPLING_JOBS = ((2048, 40), (4096, 100), (16000, 20))  # (N, draws)
+SAMPLING_SEED = 2011
 LAYER = "cycle_engine.build_partition_table"
-ACCURACY = ("norm_residual_max", "norm_residual_breach", "identity_rel_err_max", "logQ_rel_err_max")
+DRAW = "cycle_engine.sample_cycle_type"
+TRACED = {
+    "recursion": [f"{LAYER}.{k}" for k in ("calls", "busy_s", "terms", "terms_per_s")]
+    + [f"accuracy.{k}" for k in ("norm_residual_max", "norm_residual_breach", "identity_rel_err_max", "logQ_rel_err_max")],
+    "sampling": [f"{DRAW}.{k}" for k in ("draws_per_s", "held_mb", "share")] + ["accuracy.sampler_macro_z"],
+}
+WHAT = {
+    "recursion": "build_partition_table on ideal d = 3 torus weights, before and after, same machine and arguments",
+    "sampling": "sample_cycle_type on ideal d = 3 torus weights at rho*lambda^3 = 2 zeta(3/2), before and after, "
+    "same machine and arguments",
+}
 
 
 def exact_log_q(log_w, N, dtype=float):
     """The row-by-row log-space recursion, in the given float type."""
-    import numpy as np
-
     log_w = np.asarray(log_w[:N], dtype=dtype)
     logQ = np.zeros(N + 1, dtype=dtype)
     for M in range(1, N + 1):
@@ -54,14 +77,10 @@ def exact_log_q(log_w, N, dtype=float):
 
 
 def rel_err(logQ, ref) -> float:
-    import numpy as np
-
     return float(np.max(np.abs(logQ - ref) / np.maximum(1.0, np.abs(ref))))
 
 
-def measure() -> list[dict]:
-    import numpy as np
-
+def measure_recursion() -> list[dict]:
     import bosecycles as bc
 
     rows = []
@@ -91,48 +110,94 @@ def measure() -> list[dict]:
     return rows
 
 
-def run_tree(tree: Path, seed: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+def sampling_row(bc, N: int, draws: int) -> dict:
+    from workloads import _array_mb
+
+    params = bc.SystemParams.from_degeneracy(3, N, DEGENERACIES["above"], 1.0)
+    table = bc.build_partition_table(params, bc.WeightSequence.ideal(params))
+    held_before = _array_mb(table)
+    rng = np.random.default_rng(SAMPLING_SEED)
+    walls, digests = [], []
+    for _ in range(draws):
+        start = time.perf_counter()
+        parts = bc.sample_cycle_type(table, rng).parts
+        walls.append(time.perf_counter() - start)
+        digests.append(hashlib.sha256(repr(parts).encode()).hexdigest()[:16])
+    return {
+        "N": N,
+        "draws": draws,
+        "per_draw_ms": 1e3 * sum(walls) / draws,
+        "first_draw_ms": 1e3 * walls[0],
+        "held_mb_before_draws": held_before,
+        "held_mb": _array_mb(table),
+        "digests": digests,
+    }
+
+
+def measure_sampling(cap: bool) -> list[dict]:
+    import bosecycles as bc
+
+    jobs = SAMPLING_JOBS + (((bc.cycle_engine.N_MAX, 1),) if cap else ())
+    rows = []
+    for N, draws in jobs:
+        rows.append(sampling_row(bc, N, draws))
+        print(json.dumps({k: v for k, v in rows[-1].items() if k != "digests"}), file=sys.stderr, flush=True)
+    return rows
+
+
+def run_tree(tree: Path, mode: str, seed: int, cap: bool = False) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree / "perfbench")]))
     here = Path(__file__).resolve()
-    proc = subprocess.run(
-        [sys.executable, str(here), "--measure"], env=env, check=True, stdout=subprocess.PIPE, text=True
-    )
+    argv = [sys.executable, str(here), "--mode", mode, "--measure"] + (["--cap"] if cap else [])
+    proc = subprocess.run(argv, env=env, check=True, stdout=subprocess.PIPE, text=True)
     rows = json.loads(proc.stdout)
-    bench = ["perfbench/run.py", "--workload", "recursion", "--seed", str(seed), "--seconds", "30", "--trace", "1"]
+    bench = ["perfbench/run.py", "--workload", mode, "--seed", str(seed), "--seconds", "30", "--trace", "1"]
     out = subprocess.run([sys.executable, *bench], cwd=tree, check=True, stdout=subprocess.PIPE, text=True)
     metrics = json.loads(out.stdout.strip().splitlines()[-1])["metrics"]
-    traced = {f"{LAYER}.{k}": metrics[f"{LAYER}.{k}"]["value"] for k in ("calls", "busy_s", "terms", "terms_per_s")}
-    traced.update({f"accuracy.{k}": metrics[f"accuracy.{k}"]["value"] for k in ACCURACY})
-    return {"rows": rows, "traced_recursion": {"seed": seed, **traced}}
+    return {"rows": rows, f"traced_{mode}": {"seed": seed, **{k: metrics[k]["value"] for k in TRACED[mode]}}}
+
+
+def count_identical(before: dict, after: dict) -> None:
+    """Replace each sampling row's draw digests by the count of draws equal on both sides."""
+    earlier = {(row["N"], row["draws"]): row.pop("digests") for row in before["rows"]}
+    for row in after["rows"]:
+        digests = row.pop("digests")
+        if (row["N"], row["draws"]) in earlier:
+            row["identical_draws"] = sum(a == b for a, b in zip(earlier[row["N"], row["draws"]], digests))
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--mode", choices=tuple(TRACED), default="recursion")
     parser.add_argument("--measure", action="store_true", help="measure the importable bosecycles only")
+    parser.add_argument("--cap", action="store_true", help="with --measure in sampling mode, draw once at N_MAX")
     parser.add_argument("--before", type=Path)
     parser.add_argument("--after", type=Path)
     parser.add_argument("--seed", type=int, default=601, help="seed of the traced perfbench runs")
-    parser.add_argument("-o", "--output", type=Path, default=Path("BENCH_recursion.json"))
+    parser.add_argument("-o", "--output", type=Path, help="output file (default BENCH_<mode>.json)")
     args = parser.parse_args()
     if args.measure:
-        print(json.dumps(measure()))
+        print(json.dumps(measure_recursion() if args.mode == "recursion" else measure_sampling(args.cap)))
         return
     if args.before is None or args.after is None:
         parser.error("--before and --after are required")
-    import numpy as np
-
+    before = run_tree(args.before.resolve(), args.mode, args.seed)
+    after = run_tree(args.after.resolve(), args.mode, args.seed, cap=args.mode == "sampling")
+    if args.mode == "sampling":
+        count_identical(before, after)
     result = {
-        "what": "build_partition_table on ideal d = 3 torus weights, before and after, same machine and arguments",
+        "what": WHAT[args.mode],
         "machine": {
             "platform": platform.platform(),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "cpus": os.cpu_count(),
         },
-        "before": run_tree(args.before.resolve(), args.seed),
-        "after": run_tree(args.after.resolve(), args.seed),
+        "before": before,
+        "after": after,
     }
-    args.output.write_text(json.dumps(result, indent=2) + "\n")
+    output = args.output or Path(f"BENCH_{args.mode}.json")
+    output.write_text(json.dumps(result, indent=2) + "\n")
 
 
 if __name__ == "__main__":
