@@ -46,7 +46,13 @@ from .cycle_engine import (
     cycle_density_spectrum,
     sample_cycle_type,
 )
-from .potentials import _read_keyvalue, gaussian_potential, free_energy_bounds, load_potential
+from .potentials import (
+    _read_keyvalue,
+    _read_two_columns,
+    free_energy_bounds,
+    gaussian_potential,
+    load_potential,
+)
 from .special_fn import _require_length
 from .thermo import ScanRow, finite_size_scan, ideal_point
 from .wavefunctions import CycleWaveParams, wave_profile
@@ -166,27 +172,15 @@ def _weights_and_system(args, params: SystemParams) -> tuple[WeightSequence, dic
 def _load_weight_file(path: str, N: int) -> WeightSequence:
     """Cycle weights from a two-column CSV (n, w); must cover n = 1..N."""
     table: dict[int, float] = {}
-    seen_data = False
-    with open(path) as fp:
-        for lineno, raw in enumerate(fp, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ConfigError(f"{path}:{lineno}: expected 'n,w', got {raw.strip()!r}")
-            try:
-                n, w = int(parts[0]), float(parts[1])
-            except ValueError:
-                if seen_data:
-                    raise ConfigError(f"{path}:{lineno}: non-numeric row after data began")
-                continue  # header row
-            seen_data = True
-            if n in table:
-                raise ConfigError(f"{path}:{lineno}: duplicate weight for n = {n}")
-            if not w > 0.0:
-                raise ConfigError(f"{path}:{lineno}: weights must be positive, got {w}")
-            table[n] = w
+    for lineno, n, w in _read_two_columns(path):
+        if not n.is_integer():
+            raise ConfigError(f"{path}:{lineno}: cycle length must be an integer, got {n!r}")
+        n = int(n)
+        if n in table:
+            raise ConfigError(f"{path}:{lineno}: duplicate weight for n = {n}")
+        if not w > 0.0:
+            raise ConfigError(f"{path}:{lineno}: weights must be positive, got {w}")
+        table[n] = w
     missing = [n for n in range(1, N + 1) if n not in table]
     if missing:
         raise ConfigError(f"{path}: missing weights for n = {missing[:5]}... (need 1..{N})")

@@ -259,9 +259,10 @@ class MacroAggregate(NamedTuple):
     band: float  # density in the band eps*N^{2/d} <= n <= N/ln N
 
 
-def _logsumexp(terms: np.ndarray) -> float:
+def _logsumexp(terms: np.ndarray) -> np.floating:
+    """log sum exp(terms), as a scalar of the input's dtype."""
     m = terms.max()
-    return float(m + np.log(np.exp(terms - m).sum()))
+    return m + np.log(np.exp(terms - m).sum())
 
 
 def _exact_rows(log_w: np.ndarray, logQ: np.ndarray, D: np.ndarray, M0: int, M1: int) -> None:
@@ -446,17 +447,13 @@ def verify_auxiliary_identity(
     C = np.longdouble(C)
     D = np.longdouble(D)
 
-    def lse(terms):
-        m = terms.max()
-        return m + np.log(np.exp(terms - m).sum())
-
     logQ0 = np.zeros(N + 1, dtype=np.longdouble)
     logQm = np.zeros(N + 1, dtype=np.longdouble)
     for M in range(1, N + 1):
         nn = n[:M]
-        logQ0[M] = lse(logq[:M] + logQ0[M - 1 :: -1]) - np.log(np.longdouble(M))
+        logQ0[M] = _logsumexp(logq[:M] + logQ0[M - 1 :: -1]) - np.log(np.longdouble(M))
         pair_exponent = C * (nn * (M - nn) + nn * (nn - 1) / 2) + D * nn
-        logQm[M] = lse(logq[:M] - pair_exponent + logQm[M - 1 :: -1]) - np.log(np.longdouble(M))
+        logQm[M] = _logsumexp(logq[:M] - pair_exponent + logQm[M - 1 :: -1]) - np.log(np.longdouble(M))
     M = np.arange(N + 1, dtype=np.longdouble)
     log_ref = -C * M * (M - 1) / 2 - D * M + logQ0
     return float(np.abs(np.expm1(logQm - log_ref)).max())

@@ -406,9 +406,13 @@ def dcp_bound_weights(
 ) -> tuple[WeightSequence, WeightSequence]:
     """The dcp-lower and dcp-upper weight sequences q_n c^n, with log c the
     per-particle edge of phi_nn_bounds."""
-    log_lower, log_upper = _log_phi_edges(params.L, params.beta, pot)
-    ideal = WeightSequence.ideal(params)
-    n = np.arange(1, params.N + 1, dtype=float)
+    return _edge_weights(WeightSequence.ideal(params), *_log_phi_edges(params.L, params.beta, pot))
+
+
+def _edge_weights(
+    ideal: WeightSequence, log_lower: float, log_upper: float
+) -> tuple[WeightSequence, WeightSequence]:
+    n = np.arange(1, len(ideal) + 1, dtype=float)
     lower = ideal.rescaled(n * log_lower, tag="dcp-lower", rate=log_lower)
     upper = ideal.rescaled(n * log_upper, tag="dcp-upper", rate=log_upper)
     return lower, upper
@@ -460,19 +464,17 @@ def dcp_partition_sandwich(
     c^n telescopes to a global c^N, so each run must reproduce its edge
     of the sandwich to rounding (O(N^2) cost, skip for very large N).
     """
-    pot.require_positive_pair("decoupled partition sandwich")
-    if pot.d < 3:
-        raise UnsupportedDimensionError(f"the zeta-function bound needs d >= 3, got d = {pot.d}")
+    log_lower, log_upper = _log_phi_edges(L, beta, pot)
     d = pot.d
-    lam = thermal_wavelength(beta)
-    coeff = 2.0 ** (d / 2.0 - 1.0) * zeta(d / 2.0) * beta / lam**d
+    coeff = 2.0 ** (d / 2.0 - 1.0) * zeta(d / 2.0) * beta / thermal_wavelength(beta) ** d
     lower = -coeff * pot.uhat0 * N
-    upper = 0.5 * beta * periodize(pot, L, np.zeros(d)) * N
+    upper = log_upper * N
     bounds = BoundPair(lower, upper, context="log partition shift")
     if verify:
         params = SystemParams(d=d, L=L, N=N, beta=beta)
-        base = build_partition_table(params, WeightSequence.ideal(params)).logQ[N]
-        w_lo, w_hi = dcp_bound_weights(params, pot)
+        ideal = WeightSequence.ideal(params)
+        base = build_partition_table(params, ideal).logQ[N]
+        w_lo, w_hi = _edge_weights(ideal, log_lower, log_upper)
         # uhat(0) = |u|_1 for this class; allow for their quadratures differing
         slack = 1e-12 * max(1.0, abs(lower), abs(upper)) + coeff * abs(pot.norm1 - pot.uhat0) * N
         for w, edge, name in ((w_lo, N * w_lo.rate, "lower"), (w_hi, N * w_hi.rate, "upper")):
@@ -561,25 +563,27 @@ def _read_keyvalue(path) -> dict[str, str]:
     return out
 
 
-def _read_profile(path: Path) -> tuple[np.ndarray, np.ndarray]:
+def _read_two_columns(path) -> list[tuple[int, float, float]]:
+    """Numeric rows (lineno, x, y) of a two-column CSV; '#' starts a
+    comment, blank lines and header rows before the first numeric row are
+    skipped."""
     rows = []
-    for raw in path.read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        cols = [c.strip() for c in line.split(",")]
-        if len(cols) != 2:
-            raise ValueError(f"{path}: expected two columns (r, value), got {raw!r}")
-        try:
-            rows.append((float(cols[0]), float(cols[1])))
-        except ValueError:
-            if rows:
-                raise ValueError(f"{path}: non-numeric row {raw!r} after data began")
-            continue  # header line
-    if len(rows) < 2:
-        raise ValueError(f"{path}: profile needs at least 2 numeric rows")
-    data = np.array(rows)
-    return data[:, 0], data[:, 1]
+    with open(path) as fp:
+        for lineno, raw in enumerate(fp, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            cols = line.split(",")
+            if len(cols) != 2:
+                raise ValueError(f"{path}:{lineno}: expected two columns, got {raw.strip()!r}")
+            try:
+                rows.append((lineno, float(cols[0]), float(cols[1])))
+            except ValueError:
+                if rows:
+                    raise ValueError(
+                        f"{path}:{lineno}: non-numeric row {raw.strip()!r} after data began"
+                    ) from None
+    return rows
 
 
 def load_potential(path) -> PairPotential:
@@ -602,7 +606,11 @@ def load_potential(path) -> PairPotential:
     if kind in ("tabulated", "autocorrelation"):
         if "profile" not in spec:
             raise ValueError(f"{path}: kind = {kind} needs profile = <csv path>")
-        r, vals = _read_profile(path.parent / spec["profile"])
+        profile_path = path.parent / spec["profile"]
+        rows = _read_two_columns(profile_path)
+        if len(rows) < 2:
+            raise ValueError(f"{profile_path}: profile needs at least 2 numeric rows")
+        _, r, vals = np.array(rows).T
         if kind == "tabulated":
             eta = float(spec["eta"]) if "eta" in spec else math.inf
             return tabulated_potential(r, vals, d, eta)

@@ -1,12 +1,12 @@
 """Chemical potentials, critical densities, condensate fractions, and
 free-energy densities for the ideal gas and cycle-decoupling surrogates.
 
-The ideal chemical potential solves g_{d/2}(e^{beta mu}) = rho lambda^d
-for mu <= 0 and saturates at 0 when rho lambda^d >= zeta(d/2).  A
-decoupling surrogate replaces the unit cycle weight by phi_n with
-exponential rate b, which shifts the saturation point to
-mu_bar = -b/beta and the critical value to
-zeta_dcp = sum_n phi_n e^{-b n} / n^{d/2}.
+A decoupling surrogate multiplies the ideal cycle weight by phi_n with
+exponential rate b, which shifts the saturation point to mu_bar = -b/beta
+and the critical value to zeta_dcp = sum_n phi_n e^{-b n} / n^{d/2}.  The
+ideal gas is the surrogate phi_n = 1 (``DcpModel.ideal``), whose mu solves
+g_{d/2}(e^{beta mu}) = rho lambda^d for mu <= 0 and saturates at 0 when
+rho lambda^d >= zeta(d/2); one solver serves both.
 """
 
 from __future__ import annotations
@@ -170,6 +170,15 @@ class DcpModel:
         zeta_dcp = _certified_series(phi.log_w, -b, d / 2.0, what)
         return cls(phi=phi, b=float(b), mu_bar=-b / beta, zeta_dcp=zeta_dcp, beta=beta, d=d)
 
+    @classmethod
+    def ideal(cls, beta: float, d: int) -> "DcpModel":
+        """The ideal gas, phi_n = 1 with b = gamma = 0.  Not from_family(0, ...),
+        whose mu_bar = -b/beta is -0.0: the ideal mu saturates at +0.0."""
+        _require_condensing_dimension(d)
+        thermal_wavelength(beta)  # rejects a beta that is not positive and finite
+        phi = WeightSequence(np.zeros(1), tag="custom", rate=0.0)  # family mode reads phi_1 only
+        return cls(phi=phi, b=0.0, mu_bar=0.0, zeta_dcp=zeta(d / 2.0), beta=beta, d=d, gamma=0.0)
+
     def log_phi(self, n) -> np.ndarray:
         """log phi_n for integer n, beyond the stored array in family mode."""
         n = np.asarray(n, dtype=float)
@@ -229,56 +238,6 @@ def _bisect_increasing(fn, lo: float, hi: float, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def ideal_mu(rho: float, beta: float, d: int = 3) -> float:
-    """Ideal-gas chemical potential: the unique mu <= 0 with
-    g_{d/2}(e^{beta mu}) = rho lambda^d, or 0 once that saturates at
-    zeta(d/2)."""
-    _require_condensing_dimension(d)
-    if not rho > 0.0:
-        raise ValueError(f"density must be positive, got {rho}")
-    lam = thermal_wavelength(beta)
-    target = rho * lam**d
-    if target >= zeta(d / 2.0):
-        return 0.0
-    lo = min(math.log(target) - 1.0, -50.0)
-    x = _bisect_increasing(lambda t: polylog(d / 2.0, math.exp(t)), lo, 0.0, target)
-    return x / beta
-
-
-def ideal_free_energy_density(rho: float, beta: float, d: int = 3) -> float:
-    """f0 = rho mu - g_{1+d/2}(e^{beta mu})/(beta lambda^d); equals the
-    constant -zeta(1+d/2)/(beta lambda^d) in the condensed phase."""
-    _require_condensing_dimension(d)
-    if rho == 0.0:
-        return 0.0
-    lam = thermal_wavelength(beta)
-    mu = ideal_mu(rho, beta, d)
-    return rho * mu - polylog(1.0 + d / 2.0, math.exp(beta * mu)) / (beta * lam**d)
-
-
-def condensate_fraction(rho: float, beta: float, d: int = 3, model: DcpModel | None = None) -> float:
-    """max(0, 1 - zeta_c/(rho lambda^d)) with zeta_c = zeta(d/2) or the
-    model's saturation value."""
-    _require_condensing_dimension(d)
-    if not rho > 0.0:
-        raise ValueError(f"density must be positive, got {rho}")
-    zeta_c = zeta(d / 2.0) if model is None else model.zeta_dcp
-    return max(0.0, 1.0 - zeta_c / (rho * thermal_wavelength(beta) ** d))
-
-
-def ideal_point(rho: float, beta: float, d: int = 3) -> ThermoPoint:
-    lam = thermal_wavelength(beta)
-    return ThermoPoint(
-        rho=rho,
-        beta=beta,
-        d=d,
-        mu=ideal_mu(rho, beta, d),
-        f0=ideal_free_energy_density(rho, beta, d),
-        condensate_fraction=condensate_fraction(rho, beta, d),
-        critical_density=zeta(d / 2.0) / lam**d,
-    )
-
-
 def _check_model_context(model: DcpModel, beta: float, d: int) -> None:
     if d != model.d or not math.isclose(beta, model.beta, rel_tol=1e-12):
         raise ValueError(
@@ -314,10 +273,21 @@ def dcp_critical_density(beta: float, model: DcpModel, d: int = 3) -> float:
     return model.zeta_dcp / thermal_wavelength(beta) ** d
 
 
+def condensate_fraction(rho: float, beta: float, d: int = 3, model: DcpModel | None = None) -> float:
+    """max(0, 1 - zeta_dcp/(rho lambda^d)) for the model, the ideal gas
+    (zeta_dcp = zeta(d/2)) when none is given."""
+    if model is None:
+        model = DcpModel.ideal(beta, d)
+    _check_model_context(model, beta, d)
+    if not rho > 0.0:
+        raise ValueError(f"density must be positive, got {rho}")
+    return max(0.0, 1.0 - model.zeta_dcp / (rho * thermal_wavelength(beta) ** d))
+
+
 def dcp_point(rho: float, beta: float, model: DcpModel, d: int = 3) -> ThermoPoint:
     mu = dcp_mu(rho, beta, model, d)
     lam = thermal_wavelength(beta)
-    # surrogate free energy by the same construction as the ideal one
+    # f0 = rho mu - sum_n phi_n e^{beta mu n} / n^{1+d/2} / (beta lambda^d)
     y = beta * (mu - model.mu_bar)
     if model.gamma is not None:
         tail = polylog(1.0 + model.gamma + d / 2.0, math.exp(y))
@@ -333,6 +303,26 @@ def dcp_point(rho: float, beta: float, model: DcpModel, d: int = 3) -> ThermoPoi
         condensate_fraction=condensate_fraction(rho, beta, d, model),
         critical_density=dcp_critical_density(beta, model, d),
     )
+
+
+def ideal_mu(rho: float, beta: float, d: int = 3) -> float:
+    """Ideal-gas chemical potential: the unique mu <= 0 with
+    g_{d/2}(e^{beta mu}) = rho lambda^d, or 0 once that saturates at
+    zeta(d/2)."""
+    return dcp_mu(rho, beta, DcpModel.ideal(beta, d), d)
+
+
+def ideal_free_energy_density(rho: float, beta: float, d: int = 3) -> float:
+    """f0 = rho mu - g_{1+d/2}(e^{beta mu})/(beta lambda^d); equals the
+    constant -zeta(1+d/2)/(beta lambda^d) in the condensed phase."""
+    model = DcpModel.ideal(beta, d)
+    if rho == 0.0:
+        return 0.0
+    return dcp_point(rho, beta, model, d).f0
+
+
+def ideal_point(rho: float, beta: float, d: int = 3) -> ThermoPoint:
+    return dcp_point(rho, beta, DcpModel.ideal(beta, d), d)
 
 
 class ScanRow(NamedTuple):

@@ -199,6 +199,10 @@ class TestMu:
         assert vals["mu"] == 0.0
         assert vals["condensate_fraction"] == pytest.approx(1 - ZETA32 / 5.0, rel=1e-12)
 
+    def test_saturated_mu_prints_positive_zero(self, outdir, capsys):
+        assert main(["mu", "--rho-lambda3", "5.2247506"]) == EXIT_OK
+        assert "mu = 0.0" in capsys.readouterr().out.splitlines()
+
     def test_below_threshold_negative(self, outdir):
         rc = main(["mu", "--rho-lambda3", "1.0", "--format", "json"])
         assert rc == EXIT_OK

@@ -629,3 +629,10 @@ class TestPotentialFiles:
         (tmp_path / "pot.txt").write_text("kind = tabulated\nprofile = prof.csv\nd = 1\n")
         with pytest.raises(ValueError, match="non-numeric"):
             load_potential(tmp_path / "pot.txt")
+
+    def test_profile_row_error_names_path_and_line(self, tmp_path):
+        prof = tmp_path / "prof.csv"
+        prof.write_text("r,value\n# sampled\n0.0,1.0\n0.5\n")
+        (tmp_path / "pot.txt").write_text("kind = tabulated\nprofile = prof.csv\nd = 1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{prof}:4: expected two columns")):
+            load_potential(tmp_path / "pot.txt")

@@ -133,6 +133,13 @@ class TestCondensateFraction:
         with pytest.raises(UnsupportedDimensionError):
             condensate_fraction(1.0, 1.0, 1)
 
+    def test_rejects_model_context_mismatch(self):
+        model = DcpModel.from_family(0.2, 1.0, 1.0, 1.0, 3)
+        with pytest.raises(ValueError, match="model was built for"):
+            condensate_fraction(1.0, 2.0, 3, model)
+        with pytest.raises(ValueError, match="model was built for"):
+            condensate_fraction(1.0, 1.0, 4, model)
+
 
 class TestIdealPoint:
     def test_fields_consistent(self):
@@ -144,6 +151,31 @@ class TestIdealPoint:
         assert pt.critical_density == pytest.approx(ZETA32 / lam**3, rel=1e-14)
         assert pt.condensate_fraction == pytest.approx(0.5, rel=1e-12)
         assert pt.rho_lam_d == pytest.approx(2 * ZETA32, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_equals_trivial_family_point(self, d):
+        # the ideal gas is the c = 0, gamma = 0 member of the surrogate family
+        for beta in (0.3, 1.0, 4.0):
+            model = DcpModel.from_family(0.0, 1.0, 0.0, beta, d)
+            for rho_lam_d in np.array([1e-6, 0.1, 0.5, 0.99, 1.0, 1.01, 2.0, 10.0]) * zeta(d / 2.0):
+                rho = _rho(rho_lam_d, beta, d)
+                assert ideal_point(rho, beta, d) == dcp_point(rho, beta, model, d)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_saturated_mu_is_positive_zero(self, d):
+        beta = 1.0 / (2.0 * math.pi)  # lambda = 1 exactly, so rho lambda^d = rho
+        assert thermal_wavelength(beta) == 1.0
+        for rho in (zeta(d / 2.0), 1.5 * zeta(d / 2.0), 10.0):
+            assert math.copysign(1.0, ideal_point(rho, beta, d).mu) == 1.0
+
+    def test_ideal_model(self):
+        model = DcpModel.ideal(1.0, 3)
+        assert (model.b, model.gamma, model.zeta_dcp) == (0.0, 0.0, zeta(1.5))
+        assert math.copysign(1.0, model.mu_bar) == 1.0
+        with pytest.raises(UnsupportedDimensionError):
+            DcpModel.ideal(1.0, 2)
+        with pytest.raises(ValueError, match="beta"):
+            DcpModel.ideal(-1.0, 3)
 
 
 class TestDcpModelFamily:
