@@ -7,7 +7,7 @@ degree is even.  This script enumerates the admissible census for small
 vertex counts, illustrates the degree test on explicit graphs, and then
 maximizes the per-particle coupling gain net of its fluctuation penalty,
 checking the closed-form optimizer against a numeric one and the
-infinite-N rate against exact finite-N factorials.
+infinite-N rate against its finite-N factorial form.
 
 Run with:  python3 demos/04_cycle_coupling.py
 """
@@ -120,7 +120,7 @@ for N in (40, 80, 160, 320):
 print(f"\nGaussian fluctuation penalty at a = {fixed.a}: {fluctuation_penalty(fixed):+.8f}")
 
 print("""
-Reading: the exact big-integer expression approaches its Stirling rate
+Reading: the finite-N factorial expression approaches its Stirling rate
 like ln N / N, so already a few hundred coupled cycles realize the
 asymptotic gain.  The (negative) fluctuation penalty is the second term
 of the net objective swept in section 3.

@@ -141,8 +141,8 @@ def _resolve_density(args, lam: float) -> float:
         rho = args.rho_lambda3 / lam**3
     else:
         rho = args.rho
-    if not rho > 0.0:
-        raise ConfigError(f"density must be positive, got {rho}")
+    if not 0.0 < rho < math.inf:
+        raise ConfigError(f"density must be positive and finite, got {rho}")
     return rho
 
 
@@ -462,6 +462,8 @@ def cmd_oracle(args) -> int:
         raise ConfigError(f"--max-n must be >= 1, got {args.max_n}")
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    if not 0.0 <= args.tol < math.inf:
+        raise ConfigError(f"--tol must be finite and >= 0, got {args.tol}")
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
@@ -535,13 +537,17 @@ def _add_thermal(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lam", type=float, help="thermal wavelength (default 1 if beta absent)")
 
 
-def _add_system(p: argparse.ArgumentParser) -> None:
+def _add_density(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, default=3, help="dimension (default 3)")
-    p.add_argument("--N", type=int, help="particle number")
-    p.add_argument("--L", type=float, help="box side (exactly one of L/rho/rho-lambda3)")
     p.add_argument("--rho", type=float, help="number density")
     p.add_argument("--rho-lambda3", dest="rho_lambda3", type=float, help="rho*lam^3 (d = 3)")
     _add_thermal(p)
+
+
+def _add_system(p: argparse.ArgumentParser) -> None:
+    _add_density(p)
+    p.add_argument("--N", type=int, help="particle number")
+    p.add_argument("--L", type=float, help="box side (exactly one of L/rho/rho-lambda3)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -561,28 +567,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("scan", help="macro/band fractions over a ladder of N at fixed density")
-    p.add_argument("--d", type=int, default=3, help="dimension (default 3)")
+    _add_density(p)
     p.add_argument("--N-list", dest="N_list", type=_int_list, help="comma-separated sizes")
-    p.add_argument("--rho", type=float, help="number density")
-    p.add_argument("--rho-lambda3", dest="rho_lambda3", type=float, help="rho*lam^3 (d = 3)")
-    _add_thermal(p)
     p.add_argument("--eps", type=float, default=0.01, help="macroscopic-cycle threshold (default 0.01)")
     _add_common(p)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("mu", help="ideal-gas chemical potential and condensate fraction")
-    p.add_argument("--d", type=int, default=3, help="dimension (default 3)")
-    p.add_argument("--rho", type=float, help="number density")
-    p.add_argument("--rho-lambda3", dest="rho_lambda3", type=float, help="rho*lam^3 (d = 3)")
-    _add_thermal(p)
+    _add_density(p)
     _add_common(p)
     p.set_defaults(func=cmd_mu)
 
     p = sub.add_parser("bounds", help="free-energy sandwich for an interacting gas")
-    p.add_argument("--d", type=int, default=3, help="dimension (default 3)")
-    p.add_argument("--rho", type=float, help="number density")
-    p.add_argument("--rho-lambda3", dest="rho_lambda3", type=float, help="rho*lam^3 (d = 3)")
-    _add_thermal(p)
+    _add_density(p)
     p.add_argument("--potential", help="gaussian:g,sigma or a potential definition file")
     p.add_argument("--c-u", dest="c_u", type=float, help="override the superstability constant")
     _add_common(p)

@@ -40,7 +40,6 @@ CENSUS_MAX_VERTICES = 5
 CENSUS_MAX_MULTIPLICITY = 3
 _SEARCH_MAX_VERTICES = 8
 _SEARCH_MAX_EDGES = 48
-_EXACT_FACTORIAL_N_MAX = 200
 _GOLDEN_XATOL = 1e-12
 _ROW_CHUNK = 4096  # census rows turned into Python tuples at a time (bounds the transients)
 
@@ -227,16 +226,26 @@ class CouplingParams:
             raise ValueError(f"uncoupled fraction a must lie in [0, c], got {self.a}")
         if not 0.0 < self.eps <= 1.0:
             raise ValueError(f"damping eps must lie in (0, 1], got {self.eps}")
-        if not self.rho_v > 0.0:
-            raise ValueError(f"rho_v must be positive, got {self.rho_v}")
-        if not self.c1 > 0.0:
-            raise ValueError(f"penalty constant c1 must be positive, got {self.c1}")
-        if not self.lam > 0.0:
-            raise ValueError(f"thermal wavelength must be positive, got {self.lam}")
-        if not self.rho > 0.0:
-            raise ValueError(f"density must be positive, got {self.rho}")
+        if not 0.0 < self.rho_v < math.inf:
+            raise ValueError(f"rho_v must be positive and finite, got {self.rho_v}")
+        if not 0.0 < self.c1 < math.inf:
+            raise ValueError(f"penalty constant c1 must be positive and finite, got {self.c1}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"thermal wavelength must be positive and finite, got {self.lam}")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError(f"density must be positive and finite, got {self.rho}")
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
+        if not self.penalty_scale < math.inf:
+            raise ValueError("penalty scale c1 lam^2 rho^(2/d) overflows")
+
+    @property
+    def penalty_scale(self) -> float:
+        """c1 lambda^2 rho^{2/d}, the per-particle fluctuation cost of coupling."""
+        try:
+            return self.c1 * self.lam**2 * self.rho ** (2.0 / self.d)
+        except OverflowError:
+            return math.inf
 
     def _require_a(self) -> float:
         if self.a is None:
@@ -253,7 +262,12 @@ def coupling_gain_rate(params: CouplingParams) -> float:
     w = c - a
     if w == 0.0:
         return 0.0
-    gain = 0.5 * w * math.log(params.eps * params.rho_v / (math.e * w))
+    ratio = params.eps * params.rho_v / (math.e * w)
+    if 0.0 < ratio < math.inf:
+        log_ratio = math.log(ratio)
+    else:  # the quotient over- or underflows, its logarithm does not
+        log_ratio = math.log(params.eps) + math.log(params.rho_v) - 1.0 - math.log(w)
+    gain = 0.5 * w * log_ratio
     a_log_a = 0.0 if a == 0.0 else a * math.log(a)
     return gain + c * math.log(c) - a_log_a
 
@@ -262,7 +276,7 @@ def fluctuation_penalty(params: CouplingParams) -> float:
     """Per-particle log cost of the density fluctuations the coupled
     cycles drag along: -c1 lambda^2 rho^{2/d} (c - a)."""
     a = params._require_a()
-    return -params.c1 * params.lam**2 * params.rho ** (2.0 / params.d) * (params.c - a)
+    return -params.penalty_scale * (params.c - a)
 
 
 def _full_rate(params: CouplingParams, a: float) -> float:
@@ -270,12 +284,12 @@ def _full_rate(params: CouplingParams, a: float) -> float:
     return coupling_gain_rate(at_a) + fluctuation_penalty(at_a)
 
 
-def _golden_max(fn, lo: float, hi: float, xatol: float = _GOLDEN_XATOL) -> tuple[float, float]:
+def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
     invphi = 0.5 * (math.sqrt(5.0) - 1.0)
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = fn(x1), fn(x2)
-    while hi - lo > xatol:
+    while hi - lo > _GOLDEN_XATOL:
         if f1 > f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
@@ -305,9 +319,7 @@ def optimize_coupling(params: CouplingParams) -> CouplingOptimum:
     of the rate without its c^c/a^a term, clamped into [0, c] if needed,
     together with a golden-section maximum of the full rate over [0, c]."""
     c = params.c
-    w_star = params.eps * params.rho_v * math.exp(
-        -2.0 * (params.c1 * params.lam**2 * params.rho ** (2.0 / params.d) + 1.0)
-    )
+    w_star = params.eps * params.rho_v * math.exp(-2.0 * (params.penalty_scale + 1.0))
     clamped = w_star >= c
     if clamped:
         w_star = c
@@ -339,22 +351,15 @@ def _as_count(x: float, what: str) -> int:
 def finite_size_gain_rate(N: int, params: CouplingParams) -> float:
     """(1/N) log of the finite-N coupling factor
     (eps rho_v / N)^K (cN)! / ((aN)! K! 2^K), K = (c - a)N/2,
-    whose Stirling asymptotics is coupling_gain_rate.  Exact big-integer
-    factorials up to N = 200, log-gamma beyond."""
+    whose Stirling asymptotics is coupling_gain_rate; log n! is taken as
+    lgamma(n + 1)."""
     a = params._require_a()
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     cN = _as_count(params.c * N, "c N")
     aN = _as_count(a * N, "a N")
     K = _as_count(0.5 * (params.c - a) * N, "(c - a) N / 2")
-    if N <= _EXACT_FACTORIAL_N_MAX:
-        log_fac = (
-            math.log(math.factorial(cN))
-            - math.log(math.factorial(aN))
-            - math.log(math.factorial(K))
-        )
-    else:
-        log_fac = math.lgamma(cN + 1) - math.lgamma(aN + 1) - math.lgamma(K + 1)
+    log_fac = math.lgamma(cN + 1) - math.lgamma(aN + 1) - math.lgamma(K + 1)
     return (K * math.log(params.eps * params.rho_v / N) + log_fac - K * math.log(2.0)) / N
 
 

@@ -427,12 +427,13 @@ def verify_auxiliary_identity(
 ) -> float:
     """Max relative deviation of the auxiliary recursion from its closed form.
 
-    The recursion with weights q_n e^{-C[n(M-n) + n(n-1)/2] - D n} (M the
-    running total) telescopes exactly to e^{-C M(M-1)/2 - D M} Q0_M.  The
-    identity is algebraic, so the returned deviation is pure floating-point
-    noise; extended precision keeps it certifiable at 1e-10 even when the
-    exponents reach ~1e5.  ``base_weights`` defaults to the ideal q_n of
-    ``params``, the only weights the closed form holds for.
+    The recursion with weights w_n e^{-C[n(M-n) + n(n-1)/2] - D n} (M the
+    running total) telescopes exactly to e^{-C M(M-1)/2 - D M} Q0_M, Q0
+    being the recursion over the base weights w_n alone.  The identity is
+    algebraic and holds for any base weights, so the returned deviation is
+    pure floating-point noise; extended precision keeps it certifiable at
+    1e-10 even when the exponents reach ~1e5.  ``base_weights`` defaults
+    to the ideal q_n of ``params``.
     """
     if not (math.isfinite(C) and math.isfinite(D)):
         raise ValueError("C and D must be finite")

@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cycle_engine import SystemParams, WeightSequence, build_partition_table
-from .special_fn import thermal_wavelength, zeta
-from .thermo import UnsupportedDimensionError, ideal_free_energy_density
+from .special_fn import _require_length, thermal_wavelength, zeta
+from .thermo import UnsupportedDimensionError, _require_condensing_dimension, ideal_free_energy_density
 
 __all__ = [
     "UnsupportedPotentialError",
@@ -105,6 +105,8 @@ class PairPotential:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
+        if not np.isfinite([self.u0, self.uhat0, self.norm1]).all():
+            raise ValueError(f"u0 = {self.u0}, uhat0 = {self.uhat0}, norm1 = {self.norm1}: not all finite")
         if self.uhat0 > self.norm1 * (1.0 + 1e-12):
             raise ValueError(
                 f"uhat(0) = {self.uhat0} exceeds the L1 norm {self.norm1}; "
@@ -128,11 +130,11 @@ class BoundPair:
     context: str = ""
 
     def __post_init__(self):
+        where = f" ({self.context})" if self.context else ""
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValueError(f"bound ends {self.lower} and {self.upper} must be finite{where}")
         if not self.lower <= self.upper:
-            raise ValueError(
-                f"lower bound {self.lower} exceeds upper bound {self.upper}"
-                + (f" ({self.context})" if self.context else "")
-            )
+            raise ValueError(f"lower bound {self.lower} exceeds upper bound {self.upper}{where}")
 
     @property
     def width(self) -> float:
@@ -145,10 +147,9 @@ class BoundPair:
 def gaussian_potential(g: float, sigma: float, d: int = 3) -> PairPotential:
     """u(x) = g e^{-pi x^2/sigma^2}, whose transform is again a Gaussian:
     uhat(k) = g sigma^d e^{-pi sigma^2 k^2}."""
-    if not g > 0.0:
-        raise ValueError(f"coupling g must be positive, got {g}")
-    if not sigma > 0.0:
-        raise ValueError(f"range sigma must be positive, got {sigma}")
+    if not 0.0 < g < math.inf:
+        raise ValueError(f"coupling g must be positive and finite, got {g}")
+    _require_length("Gaussian range", "sigma", sigma, d)
 
     def u(r):
         r = np.asarray(r, dtype=float)
@@ -282,7 +283,9 @@ def tabulated_potential(r: np.ndarray, values: np.ndarray, d: int = 3, eta: floa
     values = np.asarray(values, dtype=float)
     if r.ndim != 1 or r.shape != values.shape or r.size < 2:
         raise ValueError("profile needs matching 1-d arrays of at least 2 samples")
-    if r[0] != 0.0 or np.any(np.diff(r) <= 0.0):
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(values))):
+        raise ValueError("profile radii and values must be finite")
+    if r[0] != 0.0 or not np.all(np.diff(r) > 0.0):
         raise ValueError("radii must start at 0 and increase strictly")
     if d not in (1, 3):
         raise UnsupportedDimensionError(f"tabulated profiles implemented for d in (1, 3), got {d}")
@@ -350,6 +353,12 @@ def alpha_nk(n: int, k: int, lam: float) -> float:
     return (1.0 / k + 1.0 / (n - k)) / lam**2
 
 
+def _zeta_bound_constant(d: int) -> float:
+    """kappa = 2^{d/2-1} zeta(d/2) of the zeta-function bounds; needs d >= 3."""
+    _require_condensing_dimension(d)
+    return 2.0 ** (d / 2.0 - 1.0) * zeta(d / 2.0)
+
+
 class MeanInteractionBound(NamedTuple):
     asymptotic: float  # (|u|_1/2) n [(n-1)/L^d + 2^{d/2} zeta(d/2)/lambda^d]
     exact: float  # (|u|_1/2) n sum_k alpha^{d/2} (1 + 1/(L sqrt(alpha)))^d
@@ -363,8 +372,7 @@ def mean_interaction_upper(n: int, L: float, beta: float, pot: PairPotential) ->
     l = 0 term reproduces the (n-1)/L^d piece).  Both vanish for n = 1:
     a single 1-cycle has no split to interact across.
     """
-    if pot.d < 3:
-        raise UnsupportedDimensionError(f"the zeta-function bound needs d >= 3, got d = {pot.d}")
+    kappa = _zeta_bound_constant(pot.d)
     if n < 1:
         raise ValueError(f"cycle length must be >= 1, got {n}")
     if n == 1:
@@ -372,7 +380,7 @@ def mean_interaction_upper(n: int, L: float, beta: float, pot: PairPotential) ->
     d = pot.d
     lam = thermal_wavelength(beta)
     half_norm = 0.5 * pot.norm1
-    asymptotic = half_norm * n * ((n - 1) / L**d + 2.0 ** (d / 2.0) * zeta(d / 2.0) / lam**d)
+    asymptotic = half_norm * n * ((n - 1) / L**d + 2.0 * kappa / lam**d)
     k = np.arange(1, n)
     alpha = (1.0 / k + 1.0 / (n - k)) / lam**2
     exact = half_norm * n * float(np.sum(alpha ** (d / 2.0) * (1.0 + 1.0 / (L * np.sqrt(alpha))) ** d))
@@ -382,12 +390,8 @@ def mean_interaction_upper(n: int, L: float, beta: float, pot: PairPotential) ->
 def _log_phi_edges(L: float, beta: float, pot: PairPotential) -> tuple[float, float]:
     # per-particle log edges: -A and +B in e^{-A n} <= Phi_n/q_n <= e^{+B n}
     pot.require_positive_pair("single-cycle weight bounds")
-    if pot.d < 3:
-        raise UnsupportedDimensionError(f"the zeta-function bound needs d >= 3, got d = {pot.d}")
-    d = pot.d
-    lam = thermal_wavelength(beta)
-    log_lower = -(2.0 ** (d / 2.0 - 1.0)) * zeta(d / 2.0) * beta * pot.norm1 / lam**d
-    log_upper = 0.5 * beta * periodize(pot, L, np.zeros(d))
+    log_lower = -_zeta_bound_constant(pot.d) * beta * pot.norm1 / thermal_wavelength(beta) ** pot.d
+    log_upper = 0.5 * beta * periodize(pot, L, np.zeros(pot.d))
     return log_lower, log_upper
 
 
@@ -435,10 +439,8 @@ def free_energy_bounds(
     potentials, overridable through ``c_u`` for potentials outside that
     class (it must then be a valid constant for the caller's potential).
     """
-    if pot.d < 3:
-        raise UnsupportedDimensionError(f"free-energy bounds need d >= 3, got d = {pot.d}")
-    if not rho > 0.0:
-        raise ValueError(f"density must be positive, got {rho}")
+    kappa = _zeta_bound_constant(pot.d)
+    _require_length("density", "rho", rho, 2)  # the mean-field terms carry rho^2
     if c_u is None:
         pot.require_positive_pair("the free-energy sandwich with C[u] = uhat(0)/2")
         c_u = 0.5 * pot.uhat0
@@ -446,7 +448,7 @@ def free_energy_bounds(
     lam = thermal_wavelength(beta)
     f0 = ideal_free_energy_density(rho, beta, d)
     lower = c_u * rho**2 - 0.5 * pot.u0 * rho + f0
-    upper = 0.5 * pot.norm1 * rho**2 + 2.0 ** (d / 2.0 - 1.0) * zeta(d / 2.0) * pot.norm1 * rho / lam**d + f0
+    upper = 0.5 * pot.norm1 * rho**2 + kappa * pot.norm1 * rho / lam**d + f0
     f = BoundPair(lower, upper, context="free energy")
     shift = 0.5 * pot.norm1 * rho**2
     f_tilde = BoundPair(lower - shift, upper - shift, context="mean-field-subtracted free energy")
@@ -466,7 +468,7 @@ def dcp_partition_sandwich(
     """
     log_lower, log_upper = _log_phi_edges(L, beta, pot)
     d = pot.d
-    coeff = 2.0 ** (d / 2.0 - 1.0) * zeta(d / 2.0) * beta / thermal_wavelength(beta) ** d
+    coeff = _zeta_bound_constant(d) * beta / thermal_wavelength(beta) ** d
     lower = -coeff * pot.uhat0 * N
     upper = log_upper * N
     bounds = BoundPair(lower, upper, context="log partition shift")
@@ -528,12 +530,8 @@ def validate_conditions(
         fitted = math.inf
     else:
         fitted = float(np.polyfit(np.log(r[good]), np.log(np.abs(u_samples[good])), 1)[0])
-    if pot.d == 1:
-        integrand = np.abs(uhat_samples)
-        surface = 2.0
-    else:
-        surface = 2.0 * math.pi ** (pot.d / 2.0) / math.gamma(pot.d / 2.0)
-        integrand = np.abs(uhat_samples) * k ** (pot.d - 1)
+    surface = 2.0 * math.pi ** (pot.d / 2.0) / math.gamma(pot.d / 2.0)  # 2 for d = 1
+    integrand = np.abs(uhat_samples) * k ** (pot.d - 1)
     uhat_integral = surface * float(np.trapezoid(integrand, k))
     return ConditionReport(
         nonnegative_u=min_u >= 0.0,

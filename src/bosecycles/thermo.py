@@ -12,6 +12,7 @@ rho lambda^d >= zeta(d/2); one solver serves both.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -118,23 +119,22 @@ class DcpModel:
     """Cycle-decoupling surrogate: weights phi_n with exponential rate b.
 
     Built either from the analytic family phi_n = exp(c e^{-eps beta} n) /
-    n^gamma, whose sums reduce exactly to polylogarithms, or from an
-    explicit weight array whose sums are certified term by term.  The
-    model is bound to the (beta, d) it was built for.
+    n^gamma, held as (b, gamma) alone, whose sums reduce exactly to
+    polylogarithms, or from an explicit weight array ``phi`` whose sums
+    are certified term by term.  The model is bound to the (beta, d) it
+    was built for.
     """
 
-    phi: WeightSequence
+    phi: WeightSequence | None  # set in array mode; None in family mode
     b: float
     mu_bar: float
     zeta_dcp: float
     beta: float
     d: int
-    gamma: float | None = None  # set in family mode; None for array mode
+    gamma: float | None = None  # set in family mode; None in array mode
 
     @classmethod
-    def from_family(
-        cls, c: float, eps: float, gamma: float, beta: float, d: int, n_terms: int = 1024
-    ) -> "DcpModel":
+    def from_family(cls, c: float, eps: float, gamma: float, beta: float, d: int) -> "DcpModel":
         """phi_n = exp(c e^{-eps beta} n) / n^gamma with rate b = c e^{-eps beta}."""
         _require_condensing_dimension(d)
         if c < 0.0:
@@ -146,17 +146,8 @@ class DcpModel:
                 f"gamma + d/2 = {gamma + d / 2.0} <= 1: the saturation sum diverges"
             )
         b = c * math.exp(-eps * beta)
-        n = np.arange(1, n_terms + 1, dtype=float)
-        phi = WeightSequence(b * n - gamma * np.log(n), tag="custom", rate=b)
-        return cls(
-            phi=phi,
-            b=b,
-            mu_bar=-b / beta,
-            zeta_dcp=zeta(gamma + d / 2.0),
-            beta=beta,
-            d=d,
-            gamma=gamma,
-        )
+        zeta_dcp = zeta(gamma + d / 2.0)
+        return cls(phi=None, b=b, mu_bar=-b / beta, zeta_dcp=zeta_dcp, beta=beta, d=d, gamma=gamma)
 
     @classmethod
     def from_weights(
@@ -176,27 +167,30 @@ class DcpModel:
         whose mu_bar = -b/beta is -0.0: the ideal mu saturates at +0.0."""
         _require_condensing_dimension(d)
         thermal_wavelength(beta)  # rejects a beta that is not positive and finite
-        phi = WeightSequence(np.zeros(1), tag="custom", rate=0.0)  # family mode reads phi_1 only
-        return cls(phi=phi, b=0.0, mu_bar=0.0, zeta_dcp=zeta(d / 2.0), beta=beta, d=d, gamma=0.0)
+        return cls(phi=None, b=0.0, mu_bar=0.0, zeta_dcp=zeta(d / 2.0), beta=beta, d=d, gamma=0.0)
 
     def log_phi(self, n) -> np.ndarray:
-        """log phi_n for integer n, beyond the stored array in family mode."""
+        """log phi_n for integer n >= 1; any n in family mode."""
         n = np.asarray(n, dtype=float)
-        if self.gamma is not None:
+        if self.phi is None:
             return self.b * n - self.gamma * np.log(n)
         if np.any(n > len(self.phi)):
             raise ValueError(f"weight array covers n <= {len(self.phi)}")
         return self.phi.log_w[n.astype(int) - 1]
+
+    def _series(self, y: float, s: float, what: str) -> float:
+        """sum_n phi_n e^{(y - b) n} / n^s for y <= 0: a polylog in family
+        mode, a certified partial sum in array mode."""
+        if self.phi is None:
+            return polylog(self.gamma + s, math.exp(y))
+        return _certified_series(self.phi.log_w, y - self.b, s, what)
 
     def saturation_sum(self, beta_mu: float) -> float:
         """S(mu) = sum_n phi_n e^{beta mu n} / n^{d/2}, finite for mu <= mu_bar."""
         y = beta_mu + self.b  # = beta (mu - mu_bar)
         if y > 0.0:
             raise ValueError(f"beta*mu = {beta_mu} exceeds the saturation point {-self.b}")
-        if self.gamma is not None:
-            return polylog(self.gamma + self.d / 2.0, math.exp(y))
-        what = "cycle sum over phi_n e^{beta mu n}/n^{d/2}"
-        return _certified_series(self.phi.log_w, y - self.b, self.d / 2.0, what)
+        return self._series(y, self.d / 2.0, "cycle sum over phi_n e^{beta mu n}/n^{d/2}")
 
 
 @dataclass(frozen=True)
@@ -256,7 +250,7 @@ def dcp_mu(rho: float, beta: float, model: DcpModel, d: int = 3) -> float:
     if target >= model.zeta_dcp:
         return model.mu_bar
     # bisect in y = beta (mu - mu_bar); S ~ phi_1 e^{-b} e^y as y -> -inf
-    log_psi1 = float(model.phi.log_w[0]) - model.b
+    log_psi1 = float(model.log_phi(1)) - model.b
     lo = min(math.log(target) - log_psi1 - 1.0, -50.0)
     sum_at = lambda y: model.saturation_sum((y - model.b))
     for _ in range(60):
@@ -289,17 +283,16 @@ def dcp_point(rho: float, beta: float, model: DcpModel, d: int = 3) -> ThermoPoi
     lam = thermal_wavelength(beta)
     # f0 = rho mu - sum_n phi_n e^{beta mu n} / n^{1+d/2} / (beta lambda^d)
     y = beta * (mu - model.mu_bar)
-    if model.gamma is not None:
-        tail = polylog(1.0 + model.gamma + d / 2.0, math.exp(y))
-    else:
-        what = "free-energy sum over phi_n e^{beta mu n}/n^{1+d/2}"
-        tail = _certified_series(model.phi.log_w, y - model.b, 1.0 + d / 2.0, what)
+    tail = model._series(y, 1.0 + d / 2.0, "free-energy sum over phi_n e^{beta mu n}/n^{1+d/2}")
+    f_unit = beta * lam**d
+    if not f_unit >= sys.float_info.min:
+        raise ValueError(f"beta lambda^d = {f_unit!r} underflows: f0 is out of float range")
     return ThermoPoint(
         rho=rho,
         beta=beta,
         d=d,
         mu=mu,
-        f0=rho * mu - tail / (beta * lam**d),
+        f0=rho * mu - tail / f_unit,
         condensate_fraction=condensate_fraction(rho, beta, d, model),
         critical_density=dcp_critical_density(beta, model, d),
     )

@@ -608,3 +608,42 @@ class TestOutputPlumbing:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_oracle_tolerance_must_be_finite_and_nonnegative(self, outdir, capsys, tol):
+        # worst > nan and worst > inf are False, so such a gate could never fail
+        argv = ["oracle", "--max-n", "3", "--trials", "1", f"--tol={tol}"]
+        assert main(argv) == EXIT_USAGE
+        assert "--tol must be finite and >= 0" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mu", "--rho", "inf"],
+            ["mu", "--rho-lambda3", "inf"],
+            ["bounds", "--potential", "gaussian:1,1", "--rho", "inf"],
+            ["scan", "--rho", "inf", "--N-list", "8"],
+            ["spectrum", "--rho", "inf", "--N", "8"],
+            ["gain", "--c", "0.5", "--rho-v", "inf", "--rho", "1"],
+            ["gain", "--c", "0.5", "--rho-v", "50", "--rho", "inf"],
+            ["gain", "--c", "0.5", "--rho-v", "50", "--rho", "1", "--c1", "inf"],
+        ],
+        ids=["mu", "mu-rho-lambda3", "bounds", "scan", "spectrum", "gain-rho-v", "gain-rho", "gain-c1"],
+    )
+    def test_infinite_density_rejected(self, outdir, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        assert "must be positive and finite" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+    def test_nan_profile_radius_named(self, outdir, tmp_path_factory, capsys):
+        # the bad row is named, not the positive-type check its NaN integrals fail
+        src = tmp_path_factory.mktemp("potential")
+        (src / "prof.csv").write_text("0.0,1.0\nnan,0.5\n1.0,0.0\n")
+        (src / "pot.txt").write_text("kind = tabulated\nprofile = prof.csv\nd = 3\n")
+        argv = ["bounds", "--potential", str(src / "pot.txt"), "--rho", "1"]
+        assert main(argv) == EXIT_USAGE
+        assert "must be finite" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []

@@ -359,3 +359,23 @@ class TestCensusTypes:
         assert isinstance(cen, CouplingCensus)
         assert cen.total == 4
         assert not cen.cross_checked
+
+
+class TestNonFiniteParams:
+    @pytest.mark.parametrize("name", ["rho_v", "rho", "lam", "c1"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejected(self, name, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            default_params(**{name: value})
+
+    def test_penalty_scale_overflow_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            default_params(c1=1e300, lam=1e10)
+
+    def test_gain_rate_finite_where_the_quotient_overflows(self):
+        # eps rho_v / (e (c - a)) exceeds the float range; its log does not
+        p = default_params(c=0.5, a=0.5 - 1e-12, rho_v=1e300)
+        w = 1e-12
+        gain = 0.5 * w * (math.log(p.eps * p.rho_v) - 1.0 - math.log(w))
+        expected = gain + p.c * math.log(p.c) - p.a * math.log(p.a)
+        assert coupling_gain_rate(p) == pytest.approx(expected, rel=1e-9)

@@ -636,3 +636,49 @@ class TestPotentialFiles:
         (tmp_path / "pot.txt").write_text("kind = tabulated\nprofile = prof.csv\nd = 1\n")
         with pytest.raises(ValueError, match=re.escape(f"{prof}:4: expected two columns")):
             load_potential(tmp_path / "pot.txt")
+
+
+class TestNonFiniteProfiles:
+    def test_nan_radius_rejected(self):
+        # NaN compares False both ways, so a "diff <= 0" test let it through
+        with pytest.raises(ValueError, match="finite"):
+            tabulated_potential(np.array([0.0, math.nan, 1.0]), np.array([1.0, 0.5, 0.0]))
+
+    def test_nan_radius_in_profile_file(self, tmp_path):
+        (tmp_path / "prof.csv").write_text("0.0,1.0\nnan,0.5\n1.0,0.0\n")
+        (tmp_path / "pot.txt").write_text("kind = tabulated\nprofile = prof.csv\nd = 3\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_potential(tmp_path / "pot.txt")
+
+    @pytest.mark.parametrize(
+        "r,values",
+        [([0.0, 1.0, math.inf], [1.0, 0.5, 0.0]), ([0.0, 0.5, 1.0], [1.0, math.nan, 0.0])],
+        ids=["infinite-radius", "nan-value"],
+    )
+    def test_other_nonfinite_samples_rejected(self, r, values):
+        with pytest.raises(ValueError, match="finite"):
+            tabulated_potential(np.array(r), np.array(values))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pot: free_energy_bounds(1.0, 1.0, pot),
+        lambda pot: phi_nn_bounds(3, 4.0, 1.0, pot),
+        lambda pot: mean_interaction_upper(1, 4.0, 1.0, pot),
+        lambda pot: mean_interaction_upper(3, 4.0, 1.0, pot),
+        lambda pot: dcp_bound_weights(SystemParams(d=2, L=4.0, N=8, beta=1.0), pot),
+        lambda pot: dcp_partition_sandwich(8, 4.0, 1.0, pot),
+    ],
+    ids=[
+        "free_energy_bounds",
+        "phi_nn_bounds",
+        "mean_interaction_upper-n1",
+        "mean_interaction_upper",
+        "dcp_bound_weights",
+        "dcp_partition_sandwich",
+    ],
+)
+def test_zeta_bounds_reject_d2(call):
+    with pytest.raises(UnsupportedDimensionError):
+        call(gaussian_potential(1.0, 1.0, d=2))
