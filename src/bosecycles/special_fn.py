@@ -44,6 +44,23 @@ _TAIL_EXPONENT = 40.0
 _SERIES_Z_MAX = 0.99
 _EM_HEAD_TERMS = 10_000
 
+# zeta(s): terms summed before the Euler-Maclaurin tail, and the tail's
+# coefficients B_2k/(2k)!, k = 1..10 (exact ratios, correctly rounded)
+_ZETA_HEAD = 10
+_BERNOULLI_2K_OVER_FACTORIAL = (
+    1 / 12,
+    -1 / 720,
+    1 / 30240,
+    -1 / 1209600,
+    1 / 47900160,
+    -691 / 1307674368000,
+    1 / 74724249600,
+    -3617 / 10670622842880000,
+    43867 / 5109094217170944000,
+    -174611 / 802857662698291200000,
+)
+_EULER_GAMMA = 0.5772156649015329
+
 
 def thermal_wavelength(beta: float) -> float:
     """Thermal de Broglie wavelength sqrt(2*pi*beta) in units hbar = m = 1."""
@@ -148,31 +165,91 @@ def reduce_shift(shift) -> np.ndarray:
 
 
 def zeta(s: float) -> float:
-    """Riemann zeta for s > 1 (the saturation value g_s(1))."""
+    """Riemann zeta for s > 1 (the saturation value g_s(1)).
+
+    Euler-Maclaurin summation (DLMF 25.2.9): the terms n < 10 are summed
+    directly and the tail from n = 10 is its integral, half the boundary
+    term and ten Bernoulli corrections.  The remainder after them is below
+    1e-19 relative for every s > 1, so the result carries only the rounding
+    of the summed terms (fsum): within 2e-16 relative of the exact value
+    over s in (1, 10], tested against mpmath.
+    """
     s = float(s)
     if s <= 1.0:
         raise ValueError(f"zeta(s) with s <= 1 is outside the convergent range, got s={s}")
-    from scipy.special import zeta as _scipy_zeta  # deferred: import bosecycles stays numpy-only
+    head = [n**-s for n in range(1, _ZETA_HEAD)]
+    edge = _ZETA_HEAD**-s
+    if edge == 0.0:  # s > ~323: the corrections are below the head's last bit
+        return math.fsum(head)
+    terms = head + [_ZETA_HEAD * edge / (s - 1.0), 0.5 * edge]
+    # c_k s (s+1) ... (s+2k-2) N^{-s-2k+1}, with c_k = B_2k/(2k)!
+    rising = s * edge / _ZETA_HEAD
+    for k, c in enumerate(_BERNOULLI_2K_OVER_FACTORIAL):
+        terms.append(c * rising)
+        rising *= (s + 2 * k + 1) * (s + 2 * k + 2) / _ZETA_HEAD**2
+    return math.fsum(terms)
 
-    return float(_scipy_zeta(s))
+
+def _lower_gamma_series(p: float, x: float) -> float:
+    # gamma(p, x) = x^p e^{-x} sum_{n>=0} x^n / (p (p+1) ... (p+n)) for p > 0
+    # (DLMF 8.7.1); every term is positive, so it is cut at 1e-17 of the sum
+    term = total = 1.0 / p
+    n = 0
+    while term > 1e-17 * total:
+        n += 1
+        term *= x / (p + n)
+        total += term
+    return x**p * math.exp(-x) * total
+
+
+def _exp1_series(x: float) -> float:
+    # E1(x) = -gamma_E - log x - sum_{k>=1} (-x)^k / (k k!), for 0 < x < 1
+    term, total, k = 1.0, 0.0, 0
+    while True:
+        k += 1
+        term *= -x / k
+        total += term / k
+        if abs(term) <= 1e-17 * abs(total):
+            return -_EULER_GAMMA - math.log(x) - total
+
+
+def _upper_gamma_fraction(p: float, x: float) -> float:
+    # Gamma(p, x) = x^p e^{-x} / (x + 1 - p - 1 (1-p) / (x + 3 - p - 2 (2-p) / (x + 5 - p - ...)))
+    # (DLMF 8.9.2, even part), any real p, x >= 1.  Each depth is evaluated
+    # from the bottom, which keeps the rounding at a few ulps where a forward
+    # (Lentz) pass accumulates ~1e-14; the depth doubles until two agree.
+    def denominator(depth: int) -> float:
+        tail = 0.0
+        for i in range(depth, 0, -1):
+            tail = -i * (i - p) / (x + 1.0 - p + 2 * i + tail)
+        return x + 1.0 - p + tail
+
+    depth, previous = 16, denominator(8)
+    while True:
+        current = denominator(depth)
+        if not abs(current - previous) > 1e-15 * abs(current):  # NaN ends it too
+            return x**p * math.exp(-x) / current
+        depth, previous = 2 * depth, current
 
 
 def _power_exp_integral(s: float, t: float, a: float) -> float:
-    # int_a^inf x^{-s} e^{-t x} dx = t^{s-1} Gamma(1-s, t a); the negative
-    # first parameter is raised into gammaincc's domain by the recurrence
-    # Gamma(p, x) = [Gamma(p+1, x) - x^p e^{-x}] / p
+    # int_a^inf x^{-s} e^{-t x} dx = t^{s-1} Gamma(1-s, t a).  From t a = 1 on
+    # the continued fraction gives Gamma(p, .), p = 1-s, directly; below, the
+    # series gives Gamma(q, .) = Gamma(q) - gamma(q, .) at q = p+k >= 1 (k = 0
+    # once p >= 1), lowered to p by Gamma(p, x) = [Gamma(p+1, x) - x^p e^{-x}] / p,
+    # which is stable there as x^p dominates.  Within ~4e-15 relative for
+    # s in [1.5, 9] and 0 < t a <= 45 (tested against mpmath).
     if t == 0.0:
         return a ** (1.0 - s) / (s - 1.0)
-    # deferred, as in zeta
-    from scipy.special import exp1 as _exp1, gamma as _gamma, gammaincc as _gammaincc
-
     x = t * a
     p = 1.0 - s
-    k = math.ceil(-p) + 1
-    g = float(_gammaincc(p + k, x)) * float(_gamma(p + k))
+    if x >= 1.0:
+        return t ** (s - 1.0) * _upper_gamma_fraction(p, x)
+    k = max(0, math.ceil(-p) + 1)
+    g = math.gamma(p + k) - _lower_gamma_series(p + k, x)
     for j in range(k - 1, -1, -1):
         if p + j == 0.0:
-            g = float(_exp1(x))  # Gamma(0, x), where the recurrence divides by 0
+            g = _exp1_series(x)  # Gamma(0, x), where the recurrence divides by 0
         else:
             g = (g - x ** (p + j) * math.exp(-x)) / (p + j)
     return t ** (s - 1.0) * g
@@ -201,9 +278,13 @@ def polylog(s: float, z: float) -> float:
     z : fugacity in [0, 1].
 
     The direct series is summed for z <= 0.99 with terms cut at 1e-17
-    relative; closer to z = 1 a fixed 10^4-term head is completed by an
-    Euler-Maclaurin tail, keeping the error at the 1e-13 level up to and
-    including z = 1.
+    relative.  Closer to z = 1, with t = -log z, a fixed 10^4-term head is
+    completed by the Euler-Maclaurin tail of n^{-s} e^{-t n} from
+    n = 10^4 + 1: its integral t^{s-1} Gamma(1-s, t a) (series and
+    continued fraction of the incomplete gamma function, DLMF 8.7 and 8.9),
+    half the boundary term and two derivative corrections.  The documented
+    error is 1e-13 relative up to and including z = 1; measured against
+    mpmath it stays below 1e-15 for s in [1.5, 3.5] and z in (0.99, 1].
     """
     s = float(s)
     z = float(z)

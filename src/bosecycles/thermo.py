@@ -25,7 +25,7 @@ from .cycle_engine import (
     build_partition_table,
     cycle_density_spectrum,
 )
-from .special_fn import polylog, thermal_wavelength, zeta
+from .special_fn import _require_length, polylog, thermal_wavelength, zeta
 
 __all__ = [
     "UnsupportedDimensionError",
@@ -213,7 +213,14 @@ class ThermoPoint:
 
     @property
     def rho_lam_d(self) -> float:
-        return self.rho * thermal_wavelength(self.beta) ** self.d
+        return self.rho * _thermal_volume(self.beta, self.d)
+
+
+def _thermal_volume(beta: float, d: int) -> float:
+    """lambda^d, rejected with a ValueError where it leaves the float range."""
+    lam = thermal_wavelength(beta)
+    _require_length("thermal wavelength", "lambda", lam, d)
+    return lam**d
 
 
 def _bisect_increasing(fn, lo: float, hi: float, target: float) -> float:
@@ -246,7 +253,7 @@ def dcp_mu(rho: float, beta: float, model: DcpModel, d: int = 3) -> float:
     _check_model_context(model, beta, d)
     if not rho > 0.0:
         raise ValueError(f"density must be positive, got {rho}")
-    target = rho * thermal_wavelength(beta) ** d
+    target = rho * _thermal_volume(beta, d)
     if target >= model.zeta_dcp:
         return model.mu_bar
     # bisect in y = beta (mu - mu_bar); S ~ phi_1 e^{-b} e^y as y -> -inf
@@ -264,7 +271,7 @@ def dcp_mu(rho: float, beta: float, model: DcpModel, d: int = 3) -> float:
 def dcp_critical_density(beta: float, model: DcpModel, d: int = 3) -> float:
     """zeta_dcp(beta) / lambda^d, the density where dcp_mu saturates."""
     _check_model_context(model, beta, d)
-    return model.zeta_dcp / thermal_wavelength(beta) ** d
+    return model.zeta_dcp / _thermal_volume(beta, d)
 
 
 def condensate_fraction(rho: float, beta: float, d: int = 3, model: DcpModel | None = None) -> float:
@@ -275,16 +282,15 @@ def condensate_fraction(rho: float, beta: float, d: int = 3, model: DcpModel | N
     _check_model_context(model, beta, d)
     if not rho > 0.0:
         raise ValueError(f"density must be positive, got {rho}")
-    return max(0.0, 1.0 - model.zeta_dcp / (rho * thermal_wavelength(beta) ** d))
+    return max(0.0, 1.0 - model.zeta_dcp / (rho * _thermal_volume(beta, d)))
 
 
 def dcp_point(rho: float, beta: float, model: DcpModel, d: int = 3) -> ThermoPoint:
     mu = dcp_mu(rho, beta, model, d)
-    lam = thermal_wavelength(beta)
     # f0 = rho mu - sum_n phi_n e^{beta mu n} / n^{1+d/2} / (beta lambda^d)
     y = beta * (mu - model.mu_bar)
     tail = model._series(y, 1.0 + d / 2.0, "free-energy sum over phi_n e^{beta mu n}/n^{1+d/2}")
-    f_unit = beta * lam**d
+    f_unit = beta * _thermal_volume(beta, d)
     if not f_unit >= sys.float_info.min:
         raise ValueError(f"beta lambda^d = {f_unit!r} underflows: f0 is out of float range")
     return ThermoPoint(

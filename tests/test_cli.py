@@ -609,6 +609,45 @@ class TestOutputPlumbing:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mu", "--rho-lambda3", "1.0"],
+            ["mu", "--rho-lambda3", "2.6"],  # z within 1e-2 of 1: the Euler-Maclaurin tail
+            ["mu", "--rho-lambda3", "5.0"],
+            ["mu", "--d", "4", "--rho", "0.01", "--beta", "1.0"],
+            ["mu", "--d", "5", "--rho", "0.001", "--beta", "1.0"],
+            ["bounds", "--potential", "gaussian:1,1", "--rho", "1"],
+            ["bounds", "--potential", "{tabulated}", "--rho", "0.5"],
+            ["bounds", "--potential", "{autocorrelation}", "--rho", "0.5"],
+        ],
+        ids=["mu-below", "mu-near", "mu-above", "mu-d4", "mu-d5", "bounds-gaussian",
+             "bounds-tabulated", "bounds-autocorrelation"],
+    )
+    def test_run_leaves_scipy_unloaded(self, tmp_path, argv):
+        # special functions and profile integrals are numpy-only; scipy serves
+        # only quadrature of Python callables handed to the library
+        r = np.linspace(0.0, 2.0, 21)
+        rows = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(r, np.exp(-3.0 * r)))
+        (tmp_path / "prof.csv").write_text("r,value\n" + rows)
+        for kind in ("tabulated", "autocorrelation"):
+            (tmp_path / f"{kind}.txt").write_text(f"kind = {kind}\nprofile = prof.csv\nd = 3\n")
+        argv = [str(tmp_path / f"{a[1:-1]}.txt") if a.startswith("{") else a for a in argv]
+        code = (
+            "import sys; from bosecycles.cli import main; "
+            f"code = main({argv!r}); "
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        package_root = Path(bosecycles.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root), "BOSECYCLES_OUTDIR": str(tmp_path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} []"
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

@@ -3,6 +3,7 @@
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -401,6 +402,14 @@ class TestPhiBounds:
         with pytest.raises(ValueError, match="cycle length"):
             phi_nn_bounds(0, 8.0, 1.0, p)
 
+    def test_overflowing_upper_edge_named(self):
+        # e^{B n} passes the float range for long cycles; at n = 100 it is 5.2e21
+        p = gaussian_potential(1.0, 1.0, 3)
+        with pytest.raises(ValueError, match=r"n = 10000: the upper edge .* overflows"):
+            phi_nn_bounds(10000, 2.0, 1.0, p)
+        bp = phi_nn_bounds(100, 2.0, 1.0, p)
+        assert (bp.lower, bp.upper) == (6.494706651858062e-11, 5.190132657841382e21)
+
 
 class TestDcpWeights:
     def test_tags_and_rates(self):
@@ -636,6 +645,104 @@ class TestPotentialFiles:
         (tmp_path / "pot.txt").write_text("kind = tabulated\nprofile = prof.csv\nd = 1\n")
         with pytest.raises(ValueError, match=re.escape(f"{prof}:4: expected two columns")):
             load_potential(tmp_path / "pot.txt")
+
+
+def _segment_quad(r, v, integrand):
+    """mpmath.quad over each segment of the piecewise-linear profile (r, v),
+    of integrand(s, v(s)); a segment is cut where v changes sign."""
+    total = mp.mpf(0)
+    for a, b, va, vb in zip(r[:-1], r[1:], v[:-1], v[1:]):
+        a, b, va, vb = map(mp.mpf, (a, b, va, vb))
+        cuts = [a, b] if va * vb >= 0 else [a, a + (b - a) * va / (va - vb), b]
+
+        def line(s, a=a, b=b, va=va, vb=vb):
+            return va + (vb - va) * (s - a) / (b - a)
+
+        total += mp.quad(lambda s: integrand(s, line(s)), cuts)
+    return total
+
+
+def _profile_transform(r, v, d, k):
+    """int v(|x|) e^{-2 pi i k.x} d^d x of the piecewise-linear profile, by mpmath."""
+    w = 2 * mp.pi * k
+    r = [mp.mpf(x) for x in r]
+    # refine the knots so that no piece spans more than 2 radians
+    fine_r, fine_v = [r[0]], [mp.mpf(v[0])]
+    for a, b, va, vb in zip(r[:-1], r[1:], v[:-1], v[1:]):
+        m = max(1, math.ceil(float(w * (b - a)) / 2.0))
+        for j in range(1, m + 1):
+            fine_r.append(a + (b - a) * j / m)
+            fine_v.append(mp.mpf(va) + (mp.mpf(vb) - mp.mpf(va)) * mp.mpf(j) / m)
+    if k == 0:
+        return _segment_quad(fine_r, fine_v, (lambda s, u: 2 * u) if d == 1 else (lambda s, u: 4 * mp.pi * s * s * u))
+    if d == 1:
+        return _segment_quad(fine_r, fine_v, lambda s, u: 2 * u * mp.cos(w * s))
+    return _segment_quad(fine_r, fine_v, lambda s, u: 2 / mp.mpf(k) * s * u * mp.sin(w * s))
+
+
+_PROFILES = {
+    "exponential": (np.linspace(0.0, 2.0, 21), np.exp(-3.0 * np.linspace(0.0, 2.0, 21))),
+    "hat": (np.array([0.0, 1.3]), np.array([1.0, 0.0])),
+    "sign-change": (np.linspace(0.0, 1.5, 7), np.cos(4.0 * np.linspace(0.0, 1.5, 7))),
+}
+
+
+class TestSegmentIntegrals:
+    """Profile integrals are per-segment Gauss-Legendre sums; mpmath.quad on
+    the same knots is the oracle."""
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("name", list(_PROFILES))
+    def test_tabulated_against_mpmath(self, name, d):
+        r, v = _PROFILES[name]
+        p = tabulated_potential(r, v, d=d)
+        with mp.workdps(20):
+            signed = _profile_transform(r, v, d, 0)
+            norm1 = _segment_quad(
+                r, v, (lambda s, u: 2 * abs(u)) if d == 1 else (lambda s, u: 4 * mp.pi * s * s * abs(u))
+            )
+            assert p.uhat0 == pytest.approx(float(signed), rel=1e-13)
+            assert p.norm1 == pytest.approx(float(norm1), rel=1e-13)
+            # the transforms are bounded by |u|_1; their error is measured on it
+            for k in np.array([0.37, 3.1, 8.0, 40.0]) / r[-1]:
+                want = float(_profile_transform(r, v, d, float(k)))
+                assert abs(float(p.uhat(float(k))) - want) <= 1e-13 * float(norm1)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("name", ["exponential", "hat"])
+    def test_autocorrelation_file_against_mpmath(self, tmp_path, name, d):
+        r, v = _PROFILES[name]
+        lines = ["r,value"] + [f"{float(a)!r},{float(b)!r}" for a, b in zip(r, v)]
+        (tmp_path / "prof.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "pot.txt").write_text(f"kind = autocorrelation\nprofile = prof.csv\nd = {d}\n")
+        p = load_potential(tmp_path / "pot.txt")
+        with mp.workdps(20):
+            vhat0 = _profile_transform(r, v, d, 0)
+            u0 = _segment_quad(r, v, (lambda s, u: 2 * u * u) if d == 1 else (lambda s, u: 4 * mp.pi * s * s * u * u))
+            assert p.uhat0 == pytest.approx(float(vhat0**2), rel=1e-13)
+            assert p.norm1 == p.uhat0
+            assert p.u0 == pytest.approx(float(u0), rel=1e-13)
+            for k in np.array([0.37, 3.1, 8.0]) / r[-1]:
+                want = float(_profile_transform(r, v, d, float(k)) ** 2)
+                assert abs(float(p.uhat(float(k))) - want) <= 1e-13 * p.uhat0
+
+    def test_far_wavenumbers_are_cut_into_pieces_or_refused(self):
+        # a segment spanning many periods is integrated piece by piece; a
+        # transform needing over 10^6 nodes raises instead of allocating them
+        r, v = _PROFILES["hat"]
+        p = tabulated_potential(r, v, d=3)
+        k = 60.0 / r[-1]  # 377 radians over the one segment: 8 pieces
+        with mp.workdps(20):
+            want = float(_profile_transform(r, v, 3, k))
+        assert abs(float(p.uhat(k)) - want) <= 1e-13 * p.norm1
+        with pytest.raises(QuadratureError, match="nodes"):
+            p.uhat(1e9)
+
+    def test_sign_change_splits_the_norm(self):
+        # u = 1 - s on [0, 2] in d = 1: |u|_1 = 2 (1/2 + 1/2), the signed integral 0
+        p = tabulated_potential(np.array([0.0, 2.0]), np.array([1.0, -1.0]), d=1)
+        assert p.norm1 == pytest.approx(2.0, rel=1e-15)
+        assert p.uhat0 == pytest.approx(0.0, abs=1e-15)
 
 
 class TestNonFiniteProfiles:

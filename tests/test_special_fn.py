@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from bosecycles.special_fn import (
+    _power_exp_integral,
     log_q_weights,
     polylog,
     q_asymptotic_regime,
@@ -143,6 +144,21 @@ class TestPolylog:
         for z in (0.2, 0.98, 0.989, 0.99, 0.9901, 0.9999, 0.99999999):
             assert polylog(s, z) == pytest.approx(float(mp.polylog(s, z)), rel=1e-12)
 
+    @pytest.mark.parametrize("s", [1.5, 2.0, 2.5, 3.0, 3.5])
+    def test_against_mpmath_near_saturation(self, s):
+        # the documented 1e-13 over the Euler-Maclaurin branch, z in (0.99, 1]
+        for z in [*(1.0 - np.geomspace(1e-15, 0.01, 25)), 1.0]:
+            z = float(z)
+            want = mp.zeta(s) if z == 1.0 else mp.polylog(s, z)
+            assert polylog(s, z) == pytest.approx(float(want), rel=1e-13)
+
+    @pytest.mark.parametrize("s", [-2.5, -1.0, 0.5])
+    def test_order_at_most_one_near_saturation(self, s):
+        # the tail's Gamma(1-s, x) has 1-s >= 0 here; it was once lowered
+        # from the wrong parameter and missed by up to 90 %
+        for z in (0.999, 0.9999, 0.99999):
+            assert polylog(s, z) == pytest.approx(float(mp.polylog(s, z)), rel=1e-13)
+
     def test_continuity_at_crossover(self):
         lo, hi = polylog(1.5, 0.99 - 1e-12), polylog(1.5, 0.99 + 1e-12)
         assert abs(hi - lo) < 1e-10
@@ -177,6 +193,35 @@ class TestZeta:
         assert zeta(1.5) == pytest.approx(2.6123753486854883, rel=1e-14)
         assert zeta(2.5) == pytest.approx(1.3414872572509172, rel=1e-14)
         assert zeta(2.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "s", [*np.linspace(1.0, 10.0, 46)[1:], 1.0 + 1e-9, 1.0001, 20.0, 50.0]
+    )
+    def test_against_mpmath(self, s):
+        s = float(s)
+        assert zeta(s) == pytest.approx(float(mp.zeta(s)), rel=1e-15, abs=0.0)
+
+    def test_far_past_the_head(self):
+        # 10^{-s} underflows: the sum is its first term
+        assert zeta(400.0) == 1.0
+        assert zeta(math.inf) == 1.0
+
+
+class TestPowerExpIntegral:
+    # int_a^inf x^{-s} e^{-t x} dx = t^{s-1} Gamma(1-s, t a), at the head
+    # length a = 10^4 + 1 of polylog's Euler-Maclaurin branch
+    A = 10_001.0
+
+    @pytest.mark.parametrize("s", [1.5, 2.0, 2.5, 3.0, 3.5])  # d/2 and 1 + d/2, d = 3..5
+    def test_against_mpmath(self, s):
+        xs = [*np.geomspace(1e-12, 45.0, 40), *np.linspace(0.5, 2.0, 7), 45.0]
+        for x in xs:
+            t = float(x) / self.A
+            want = mp.mpf(t) ** (s - 1) * mp.gammainc(1 - s, mp.mpf(t) * self.A)
+            assert _power_exp_integral(s, t, self.A) == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
+    def test_zero_rate(self):
+        assert _power_exp_integral(2.5, 0.0, self.A) == pytest.approx(self.A**-1.5 / 1.5, rel=1e-15)
 
 
 class TestTorusWeights:

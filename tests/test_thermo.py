@@ -177,6 +177,13 @@ class TestIdealPoint:
         with pytest.raises(ValueError, match="beta"):
             DcpModel.ideal(-1.0, 3)
 
+    @pytest.mark.parametrize("beta", [1e300, 1e-300], ids=["huge-lambda", "tiny-lambda"])
+    @pytest.mark.parametrize("call", [ideal_point, ideal_mu, condensate_fraction])
+    def test_thermal_volume_out_of_float_range(self, call, beta):
+        # lambda^3 overflowed (OverflowError) or underflowed to 0 before it was checked
+        with pytest.raises(ValueError, match=r"lambda\^3 outside the float range"):
+            call(1.0, beta, 3)
+
 
 class TestDcpModelFamily:
     def test_ideal_reduction(self):

@@ -1,7 +1,8 @@
-"""Before/after benchmarks of the cycle-weight recursion and of the sampler.
+"""Before/after benchmarks of the cycle-weight recursion, the sampler and cold CLI runs.
 
     python3 tools/bench_recursion.py --before ../parent --after . -o BENCH_recursion.json
     python3 tools/bench_recursion.py --mode sampling --before ../parent --after . -o BENCH_sampling.json
+    python3 tools/bench_recursion.py --mode cli-cold --before ../parent --after . -o BENCH_cli.json
 
 ``--before`` and ``--after`` are source checkouts (each with ``src/`` and
 ``perfbench/``).  Each checkout is measured in a fresh process that
@@ -25,9 +26,18 @@ draws once at ``N_MAX``; the before side skips that row, because the
 cumulative-table sampler held 3.3 GB after one draw there.  Each job
 counts the draws that are identical on both sides.
 
+``--mode cli-cold`` runs each argv of ``CLI_ARGVS`` (one per kind of op
+in the benchmark's ``cli-cold`` round, sized as there) as a fresh
+``python -m bosecycles`` process, ``CLI_REPS`` times per output format
+and checkout, the two checkouts alternating run by run, after one
+untimed run per checkout that writes the byte-code caches (unless
+PYTHONDONTWRITEBYTECODE is set, so give both checkouts current caches
+then), and records the median wall time per argv, format and checkout.
+
 Then ``perfbench/run.py --workload <mode> --trace 1`` runs once in each
-checkout and the layer and accuracy metrics of that mode are kept.  Run
-both checkouts on the same machine with nothing else running.
+checkout and the layer and accuracy metrics of that mode are kept; for
+``cli-cold`` an untraced run adds its end-to-end metrics.  Run both
+checkouts on the same machine with nothing else running.
 """
 
 from __future__ import annotations
@@ -38,8 +48,10 @@ import json
 import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -53,15 +65,46 @@ SAMPLING_JOBS = ((2048, 40), (4096, 100), (16000, 20))  # (N, draws)
 SAMPLING_SEED = 2011
 LAYER = "cycle_engine.build_partition_table"
 DRAW = "cycle_engine.sample_cycle_type"
+CLI_REPS = 5
+CLI_INPUTS = {
+    # the benchmark's two kinds of potential file: a tabulated exponential
+    # cut to zero at 12 scale lengths, and the autocorrelation of a hat
+    "exponential.csv": "r,value\n" + "".join(f"{0.1 * k!r},{(0.6 * math.exp(-k / 4) if k < 48 else 0.0)!r}\n"
+                                              for k in range(49)),
+    "hat.csv": "r,value\n" + "".join(f"{0.25 * k!r},{1.0 - 0.25 * k!r}\n" for k in range(5)),
+    "tabulated.txt": "kind = tabulated\nprofile = exponential.csv\nd = 3\n",
+    "autocorrelation.txt": "kind = autocorrelation\nprofile = hat.csv\nd = 3\n",
+}
+CLI_ARGVS = {  # "{name}" stands for the input file of that name
+    "mu-below": ["mu", "--rho-lambda3", repr(0.7 * ZETA_3_2), "--beta", "1.0"],
+    "mu-above": ["mu", "--rho-lambda3", repr(2.0 * ZETA_3_2), "--beta", "1.0"],
+    "bounds-gaussian": ["bounds", "--potential", "gaussian:0.6,0.7", "--rho", "1.0", "--beta", "1.0"],
+    "bounds-tabulated": ["bounds", "--potential", "{tabulated.txt}", "--rho", "1.0", "--beta", "1.0"],
+    "bounds-autocorrelation": ["bounds", "--potential", "{autocorrelation.txt}", "--rho", "1.0", "--beta", "1.0"],
+    "gain": ["gain", "--c", "0.5", "--rho-v", "50.0", "--rho", "1.0"],
+    "wavefn": ["wavefn", "--n", "5", "--L", "4.5", "--lam", "1.0", "--y", "1.0,2.0,0.5"],
+    "oracle": ["oracle", "--max-n", "10", "--trials", "5", "--seed", "1"],
+    "spectrum": ["spectrum", "--N", "4096", "--rho-lambda3", repr(2.0 * ZETA_3_2), "--beta", "1.0"],
+    "scan": ["scan", "--N-list", "512,1024,2048,4096", "--rho-lambda3", repr(2.0 * ZETA_3_2), "--beta", "1.0"],
+    "sample": ["sample", "--N", "2048", "--rho-lambda3", repr(2.0 * ZETA_3_2), "--beta", "1.0", "--draws", "20",
+               "--seed", "7"],
+    "merger-4": ["merger", "--vertices", "4", "--max-multiplicity", "3"],
+    "merger-5": ["merger", "--vertices", "5", "--max-multiplicity", "2"],
+}
 TRACED = {
     "recursion": [f"{LAYER}.{k}" for k in ("calls", "busy_s", "terms", "terms_per_s")]
     + [f"accuracy.{k}" for k in ("norm_residual_max", "norm_residual_breach", "identity_rel_err_max", "logQ_rel_err_max")],
     "sampling": [f"{DRAW}.{k}" for k in ("draws_per_s", "held_mb", "share")] + ["accuracy.sampler_macro_z"],
+    "cli-cold": ["cli.start_import_share", "cli.mu.busy_s", "cli.bounds.busy_s", "import.bosecycles_s",
+                 "process.interpreter_start_s"],
 }
+UNTRACED = {"cli-cold": ["ops_per_s", "op_p50_s", "op_p90_s", "setup_s", "peak_rss_mb", "pass_rate"]}
 WHAT = {
     "recursion": "build_partition_table on ideal d = 3 torus weights, before and after, same machine and arguments",
     "sampling": "sample_cycle_type on ideal d = 3 torus weights at rho*lambda^3 = 2 zeta(3/2), before and after, "
     "same machine and arguments",
+    "cli-cold": f"median wall time of {CLI_REPS} fresh `python -m bosecycles` runs per cli-cold argv and output "
+    "format, before and after alternating run by run, same machine and arguments",
 }
 
 
@@ -145,16 +188,58 @@ def measure_sampling(cap: bool) -> list[dict]:
     return rows
 
 
-def run_tree(tree: Path, mode: str, seed: int, cap: bool = False) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree / "perfbench")]))
-    here = Path(__file__).resolve()
-    argv = [sys.executable, str(here), "--mode", mode, "--measure"] + (["--cap"] if cap else [])
-    proc = subprocess.run(argv, env=env, check=True, stdout=subprocess.PIPE, text=True)
-    rows = json.loads(proc.stdout)
-    bench = ["perfbench/run.py", "--workload", mode, "--seed", str(seed), "--seconds", "30", "--trace", "1"]
-    out = subprocess.run([sys.executable, *bench], cwd=tree, check=True, stdout=subprocess.PIPE, text=True)
-    metrics = json.loads(out.stdout.strip().splitlines()[-1])["metrics"]
-    return {"rows": rows, f"traced_{mode}": {"seed": seed, **{k: metrics[k]["value"] for k in TRACED[mode]}}}
+def measure_cli(trees: dict[str, Path]) -> dict[str, list[dict]]:
+    """Cold wall times of the CLI_ARGVS runs, per checkout.  The checkouts
+    alternate run by run, first one then the other, so that a drift in the
+    machine's load falls on both sides alike."""
+    walls: dict[str, dict[tuple[str, str], list[float]]] = {side: {} for side in trees}
+    with tempfile.TemporaryDirectory(prefix="bench_cli_") as tmp:
+        tmp = Path(tmp)
+        for name, text in CLI_INPUTS.items():
+            (tmp / name).write_text(text)
+
+        def run(tree: Path, argv: list[str]) -> float:
+            env = dict(os.environ, PYTHONPATH=str(tree / "src"), BOSECYCLES_OUTDIR=str(tmp))
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-m", "bosecycles", *argv], cwd=tmp, env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+            return time.perf_counter() - start
+
+        for tree in trees.values():
+            run(tree, CLI_ARGVS["mu-below"])  # writes the byte-code caches, where the environment lets it
+        for kind, template in CLI_ARGVS.items():
+            argv = [str(tmp / tok[1:-1]) if tok.startswith("{") else tok for tok in template]
+            for fmt in ("csv", "json"):
+                for rep in range(CLI_REPS):
+                    for side in list(trees)[:: 1 if rep % 2 == 0 else -1]:
+                        walls[side].setdefault((kind, fmt), []).append(run(trees[side], argv + ["--format", fmt]))
+                print(kind, fmt, {side: statistics.median(w[kind, fmt]) for side, w in walls.items()},
+                      file=sys.stderr, flush=True)
+    return {
+        side: [{"kind": kind, "format": fmt, "argv": " ".join(CLI_ARGVS[kind]), "median_s": statistics.median(w),
+                "walls_s": w} for (kind, fmt), w in runs.items()]
+        for side, runs in walls.items()
+    }
+
+
+def run_tree(tree: Path, mode: str, seed: int, cap: bool = False, rows: list | None = None) -> dict:
+    """The rows of one checkout (measured here unless given) and its perfbench metrics."""
+    if rows is None:
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree / "perfbench")]))
+        here = Path(__file__).resolve()
+        argv = [sys.executable, str(here), "--mode", mode, "--measure"] + (["--cap"] if cap else [])
+        proc = subprocess.run(argv, env=env, check=True, stdout=subprocess.PIPE, text=True)
+        rows = json.loads(proc.stdout)
+    result = {"rows": rows}
+    for trace, kept in (("1", TRACED), ("0", UNTRACED)):
+        if mode not in kept:
+            continue
+        bench = ["perfbench/run.py", "--workload", mode, "--seed", str(seed), "--seconds", "30", "--trace", trace]
+        out = subprocess.run([sys.executable, *bench], cwd=tree, check=True, stdout=subprocess.PIPE, text=True)
+        metrics = json.loads(out.stdout.strip().splitlines()[-1])["metrics"]
+        label = "traced" if trace == "1" else "untraced"
+        result[f"{label}_{mode}"] = {"seed": seed, **{k: metrics[k]["value"] for k in kept[mode]}}
+    return result
 
 
 def count_identical(before: dict, after: dict) -> None:
@@ -169,7 +254,8 @@ def count_identical(before: dict, after: dict) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--mode", choices=tuple(TRACED), default="recursion")
-    parser.add_argument("--measure", action="store_true", help="measure the importable bosecycles only")
+    parser.add_argument("--measure", action="store_true",
+                        help="recursion and sampling modes: measure the importable bosecycles only")
     parser.add_argument("--cap", action="store_true", help="with --measure in sampling mode, draw once at N_MAX")
     parser.add_argument("--before", type=Path)
     parser.add_argument("--after", type=Path)
@@ -181,8 +267,10 @@ def main() -> None:
         return
     if args.before is None or args.after is None:
         parser.error("--before and --after are required")
-    before = run_tree(args.before.resolve(), args.mode, args.seed)
-    after = run_tree(args.after.resolve(), args.mode, args.seed, cap=args.mode == "sampling")
+    trees = {"before": args.before.resolve(), "after": args.after.resolve()}
+    rows = measure_cli(trees) if args.mode == "cli-cold" else {}
+    before = run_tree(trees["before"], args.mode, args.seed, rows=rows.get("before"))
+    after = run_tree(trees["after"], args.mode, args.seed, cap=args.mode == "sampling", rows=rows.get("after"))
     if args.mode == "sampling":
         count_identical(before, after)
     result = {
@@ -196,7 +284,7 @@ def main() -> None:
         "before": before,
         "after": after,
     }
-    output = args.output or Path(f"BENCH_{args.mode}.json")
+    output = args.output or Path(f"BENCH_{args.mode.split('-')[0]}.json")
     output.write_text(json.dumps(result, indent=2) + "\n")
 
 
