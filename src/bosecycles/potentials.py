@@ -245,6 +245,21 @@ class _PiecewiseLinear:
         self.r = r
         self.values = values
 
+    @classmethod
+    def from_samples(cls, r, values) -> "_PiecewiseLinear":
+        """Profile from sampled (r, value) pairs, checked: finite, matching
+        1-d arrays of at least 2 samples, radii from 0 and strictly increasing
+        (so every segment weight is positive and the knots cover [0, r_m])."""
+        r = np.asarray(r, dtype=float)
+        values = np.asarray(values, dtype=float)
+        if r.ndim != 1 or r.shape != values.shape or r.size < 2:
+            raise ValueError("profile needs matching 1-d arrays of at least 2 samples")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(values))):
+            raise ValueError("profile radii and values must be finite")
+        if r[0] != 0.0 or not np.all(np.diff(r) > 0.0):
+            raise ValueError("radii must start at 0 and increase strictly")
+        return cls(r, values)
+
     def __call__(self, s: float) -> float:
         return float(np.interp(s, self.r, self.values, right=0.0))
 
@@ -314,7 +329,8 @@ def autocorrelation_potential(
         raise ValueError(f"support radius must be positive, got {v_support}")
     R = float(v_support)
     bp = [] if breakpoints is None else sorted(float(b) for b in breakpoints)
-    probe = np.linspace(0.0, R, 257)
+    # the breakpoints are probed too: a piecewise-linear v is then checked at every knot
+    probe = np.union1d(np.linspace(0.0, R, 257), [b for b in bp if 0.0 <= b <= R])
     if min(v(float(s)) for s in probe) < 0.0:
         raise ValueError("profile v must be nonnegative on its support")
 
@@ -395,17 +411,10 @@ def tabulated_potential(r: np.ndarray, values: np.ndarray, d: int = 3, eta: floa
     exact to rounding; uhat(k) is within 1e-13 of |u|_1, which bounds it
     (see ``_PiecewiseLinear``).  positive_type is read from uhat at 48
     wavenumbers up to 8/r_max."""
-    r = np.asarray(r, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if r.ndim != 1 or r.shape != values.shape or r.size < 2:
-        raise ValueError("profile needs matching 1-d arrays of at least 2 samples")
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(values))):
-        raise ValueError("profile radii and values must be finite")
-    if r[0] != 0.0 or not np.all(np.diff(r) > 0.0):
-        raise ValueError("radii must start at 0 and increase strictly")
+    profile = _PiecewiseLinear.from_samples(r, values)
+    r, values = profile.r, profile.values
     if d not in (1, 3):
         raise UnsupportedDimensionError(f"tabulated profiles implemented for d in (1, 3), got {d}")
-    profile = _PiecewiseLinear(r, values)
     u = _radialize(profile)
     uhat = _radialize(functools.partial(profile.transform, d))
     norm1_signed = profile.volume_integral(d)
@@ -727,5 +736,6 @@ def load_potential(path) -> PairPotential:
         if kind == "tabulated":
             eta = float(spec["eta"]) if "eta" in spec else math.inf
             return tabulated_potential(r, vals, d, eta)
-        return autocorrelation_potential(_PiecewiseLinear(r, vals), float(r[-1]), d, breakpoints=r[1:-1])
+        profile = _PiecewiseLinear.from_samples(r, vals)
+        return autocorrelation_potential(profile, float(r[-1]), d, breakpoints=r[1:-1])
     raise ValueError(f"{path}: kind must be gaussian, tabulated, or autocorrelation, got {kind!r}")

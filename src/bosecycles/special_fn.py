@@ -245,6 +245,8 @@ def _power_exp_integral(s: float, t: float, a: float) -> float:
     p = 1.0 - s
     if x >= 1.0:
         return t ** (s - 1.0) * _upper_gamma_fraction(p, x)
+    if math.isnan(p):
+        return math.nan  # math.ceil below cannot take it
     k = max(0, math.ceil(-p) + 1)
     g = math.gamma(p + k) - _lower_gamma_series(p + k, x)
     for j in range(k - 1, -1, -1):

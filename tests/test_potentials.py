@@ -767,6 +767,46 @@ class TestNonFiniteProfiles:
             tabulated_potential(np.array(r), np.array(values))
 
 
+
+class TestAutocorrelationProfileFiles:
+    """A profile file for kind = autocorrelation is checked like a tabulated
+    one: its segment sums cover [r_0, r_m] only, so radii must start at 0
+    and increase."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        ["0.5,1.0\n1.0,0.0\n", "-0.5,1.0\n0.0,1.0\n1.0,0.0\n", "0.0,1.0\n0.6,0.5\n0.4,0.2\n1.0,0.0\n",
+         "0.0,1.0\n0.5,0.5\n0.5,0.2\n1.0,0.0\n"],
+        ids=["starts-at-half", "negative-radius", "decreasing", "repeated"],
+    )
+    def test_bad_radii_rejected(self, tmp_path, rows):
+        (tmp_path / "prof.csv").write_text(rows)
+        (tmp_path / "pot.txt").write_text("kind = autocorrelation\nprofile = prof.csv\nd = 3\n")
+        with pytest.raises(ValueError, match="radii must start at 0"):
+            load_potential(tmp_path / "pot.txt")
+
+    def test_nonfinite_sample_rejected(self, tmp_path):
+        (tmp_path / "prof.csv").write_text("0.0,1.0\n0.5,nan\n1.0,0.0\n")
+        (tmp_path / "pot.txt").write_text("kind = autocorrelation\nprofile = prof.csv\nd = 1\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_potential(tmp_path / "pot.txt")
+
+    def test_negative_knot_between_probes_rejected(self, tmp_path):
+        # the dip at r = 0.1001 lies between the 257 evenly spaced probes
+        (tmp_path / "prof.csv").write_text("0.0,1.0\n0.1,1.0\n0.1001,-0.5\n0.1002,1.0\n1.0,0.0\n")
+        (tmp_path / "pot.txt").write_text("kind = autocorrelation\nprofile = prof.csv\nd = 3\n")
+        with pytest.raises(ValueError, match="nonnegative"):
+            load_potential(tmp_path / "pot.txt")
+
+    def test_bounds_cli_exits_2(self, tmp_path):
+        from bosecycles.cli import main
+
+        (tmp_path / "prof.csv").write_text("0.5,1.0\n1.0,0.0\n")
+        (tmp_path / "pot.txt").write_text("kind = autocorrelation\nprofile = prof.csv\nd = 3\n")
+        out = tmp_path / "out.csv"
+        assert main(["bounds", "--potential", str(tmp_path / "pot.txt"), "--rho", "0.5", "-o", str(out)]) == 2
+        assert not out.exists()
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -159,6 +159,11 @@ class TestPolylog:
         for z in (0.999, 0.9999, 0.99999):
             assert polylog(s, z) == pytest.approx(float(mp.polylog(s, z)), rel=1e-13)
 
+    @pytest.mark.parametrize("z", [0.995, 0.99999, 1.0])
+    def test_nan_order_near_saturation(self, z):
+        # below t a = 1 the tail once reached math.ceil(nan) and raised
+        assert math.isnan(polylog(math.nan, z))
+
     def test_continuity_at_crossover(self):
         lo, hi = polylog(1.5, 0.99 - 1e-12), polylog(1.5, 0.99 + 1e-12)
         assert abs(hi - lo) < 1e-10

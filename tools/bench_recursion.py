@@ -262,6 +262,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=601, help="seed of the traced perfbench runs")
     parser.add_argument("-o", "--output", type=Path, help="output file (default BENCH_<mode>.json)")
     args = parser.parse_args()
+    if args.measure and args.mode == "cli-cold":
+        parser.error("--measure applies to the recursion and sampling modes only")
     if args.measure:
         print(json.dumps(measure_recursion() if args.mode == "recursion" else measure_sampling(args.cap)))
         return
