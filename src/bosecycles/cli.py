@@ -63,6 +63,11 @@ EXIT_NUMERIC = 3
 
 OUTDIR_ENV = "BOSECYCLES_OUTDIR"
 
+# largest --num of gain and wavefn: at the cap a run takes up to ~20 s
+# and ~80 MB, and a larger value would allocate its grid unchecked
+NUM_MAX = 100_000
+_EMIT_BATCH = 4096  # rendered pieces joined per write
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
@@ -159,6 +164,13 @@ def _resolve_system(args) -> SystemParams:
     return SystemParams.from_density(args.d, args.N, _resolve_density(args, lam), beta)
 
 
+def _resolve_num(args) -> int:
+    """--num of gain and wavefn, capped at NUM_MAX before any grid exists."""
+    if args.num > NUM_MAX:
+        raise ConfigError(f"--num is capped at {NUM_MAX}, got {args.num}")
+    return args.num
+
+
 def _weights_and_system(args, params: SystemParams) -> tuple[WeightSequence, dict]:
     """The run's cycle weights (ideal, or the --weights file) and the
     system block d, N, L, rho, beta, lam of its config."""
@@ -243,17 +255,23 @@ def _emit(args, config: dict, header, rows, payload: dict) -> Path:
     so a run that fails while producing rows leaves no file behind and an
     earlier file untouched; the one open follows a symlinked output path.
     """
-    buf = io.StringIO()
     if args.format == "json":
-        json.dump({"config": config, **payload}, buf, indent=2)
-        buf.write("\n")
+        pieces = itertools.chain(json.JSONEncoder(indent=2).iterencode({"config": config, **payload}), ["\n"])
     else:
-        buf.writelines(f"# {key} = {_cell(val)}\n" for key, val in config.items())
-        buf.write(",".join(header) + "\n")
-        buf.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+        pieces = itertools.chain(
+            (f"# {key} = {_cell(val)}\n" for key, val in config.items()),
+            [",".join(header) + "\n"],
+            (",".join(map(_cell, row)) + "\n" for row in rows),
+        )
+    buf = io.BytesIO()
+    text = io.TextIOWrapper(buf)  # encodes as a text-mode open would
+    # joined in batches: a write per JSON piece would slow a large render by a quarter
+    while batch := "".join(itertools.islice(pieces, _EMIT_BATCH)):
+        text.write(batch)
+    text.detach()  # flushes into buf and leaves it open
     path = _output_path(args, config["command"])
-    with open(path, "w") as fp:
-        fp.write(buf.getvalue())
+    with open(path, "wb") as fp:
+        fp.write(buf.getbuffer())  # a view of the rendered bytes, not a copy
     return path
 
 
@@ -423,11 +441,12 @@ def cmd_gain(args) -> int:
         if getattr(args, name) is None:
             raise ConfigError(f"--{name.replace('_', '-')} is required")
     _, lam = _resolve_thermal(args)
+    num = _resolve_num(args)
     params = CouplingParams(
         c=args.c, rho_v=args.rho_v, lam=lam, rho=args.rho, d=args.d, eps=args.eps, c1=args.c1
     )
     opt = optimize_coupling(params)
-    rows = coupling_sweep(params, args.num)
+    rows = coupling_sweep(params, num)
     config = {
         "command": "gain",
         "c": params.c,
@@ -437,7 +456,7 @@ def cmd_gain(args) -> int:
         "d": params.d,
         "eps": params.eps,
         "c1": params.c1,
-        "num": args.num,
+        "num": num,
     }
     header = ("a", "gain", "penalty", "total")
     payload = {
@@ -502,8 +521,9 @@ def cmd_wavefn(args) -> int:
         if getattr(args, name) is None:
             raise ConfigError(f"--{name} is required")
     _, lam = _resolve_thermal(args)
+    num = _resolve_num(args)
     params = CycleWaveParams(n=args.n, L=args.L, lam=lam, y=tuple(args.y), xbar=tuple(args.xbar))
-    rows = wave_profile(params, axis=args.axis, num=args.num)
+    rows = wave_profile(params, axis=args.axis, num=num)
     config = {
         "command": "wavefn",
         "n": params.n,
@@ -512,7 +532,7 @@ def cmd_wavefn(args) -> int:
         "y": list(params.y),
         "xbar": list(params.xbar),
         "axis": args.axis,
-        "num": args.num,
+        "num": num,
     }
     header = ("x", "re_psi", "im_psi", "abs2")
     path = _emit(args, config, header, rows, _columns(header, rows))
@@ -625,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_thermal(p)
     p.add_argument("--eps", type=float, default=0.25, help="surviving-weight fraction (default 0.25)")
     p.add_argument("--c1", type=float, default=1.0, help="fluctuation-penalty constant (default 1)")
-    p.add_argument("--num", type=int, default=101, help="sweep grid size (default 101)")
+    p.add_argument("--num", type=int, default=101, help="sweep grid size (default 101, max 100000)")
     _add_common(p)
     p.set_defaults(func=cmd_gain)
 
@@ -648,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--xbar", type=_float_list, default=(), help="momentum shift vector (default zero)"
     )
     p.add_argument("--axis", type=int, default=0, help="profile axis (default 0)")
-    p.add_argument("--num", type=int, default=257, help="samples along the axis (default 257)")
+    p.add_argument("--num", type=int, default=257, help="samples along the axis (default 257, max 100000)")
     _add_common(p)
     p.set_defaults(func=cmd_wavefn)
 

@@ -425,20 +425,20 @@ def _census_arrays(n_vertices: int, max_multiplicity: int):
     vecs = np.empty((count, n_pairs), dtype=np.uint8)
     for k in range(n_pairs):
         vecs[:, k] = (codes // base ** (n_pairs - 1 - k)) % base
-    inc = np.zeros((n_pairs, n_vertices), dtype=np.uint8)
+    # signed incidence: +1 at i and -1 at j for pair (i, j); a vertex's net
+    # signed multiplicity has the parity of its degree
+    inc = np.zeros((n_pairs, n_vertices), dtype=np.int16)
     for k, (i, j) in enumerate(pairs):
         inc[k, i] = 1
-        inc[k, j] = 1
-    degrees = vecs.astype(np.int16) @ inc.astype(np.int16)
-    delta = np.all(degrees % 2 == 0, axis=1)
-    # K depends only on the support pattern; tabulate once per bitmask
+        inc[k, j] = -1
+    delta = np.all((vecs.astype(np.int16) @ inc) % 2 == 0, axis=1)
+    # K depends only on the support pattern: K = n - (number of components)
+    # is the rank of the support's signed incidence matrix, a rule that
+    # shares no code with the graph search of the k_index oracle
     bits = (np.uint32(1) << np.arange(n_pairs, dtype=np.uint32))
     masks = (vecs > 0).astype(np.uint32) @ bits
-    k_by_mask = np.empty(1 << n_pairs, dtype=np.int16)
-    for mask in range(1 << n_pairs):
-        mults = tuple(1 if mask & (1 << k) else 0 for k in range(n_pairs))
-        nni, nec = _edge_components(MergerMultigraph(n_vertices, mults))
-        k_by_mask[mask] = nni - nec
+    support = (np.arange(1 << n_pairs)[:, None] >> np.arange(n_pairs)) & 1
+    k_by_mask = np.linalg.matrix_rank(support[:, :, None] * inc).astype(np.int16)
     return pairs, vecs, delta, k_by_mask[masks]
 
 

@@ -187,23 +187,24 @@ def gaussian_potential(g: float, sigma: float, d: int = 3) -> PairPotential:
     )
 
 
-def _volume_integral(v: Callable, R: float, d: int, points=None) -> float:
-    # int v(|x|) d^d x for radial v supported in |x| <= R
-    if d == 1:
-        return 2.0 * _quad(v, 0.0, R, "radial L1 integral", points=points)
-    return 4.0 * math.pi * _quad(lambda s: s * s * v(s), 0.0, R, "radial L1 integral", points=points)
-
-
-def _radial_transform(v: Callable, R: float, d: int, k: float, points=None) -> float:
-    # int v(|x|) e^{-2 pi i k.x} d^d x, real by symmetry
+def _radial_kernel(d: int, k: float):
+    """(c, g) with int f(|x|) e^{-2 pi i k.x} d^d x = c int_0^inf g(s, f(s)) ds
+    for radial f in d = 1 or 3: the one owner of the radial measure
+    (2 ds, 4 pi s^2 ds) and Fourier kernel (2 cos ws, (2/k) s sin ws), w = 2 pi k."""
     if k == 0.0:
-        return _volume_integral(v, R, d, points=points)
+        if d == 1:
+            return 2.0, lambda s, f: f
+        return 4.0 * math.pi, lambda s, f: s * s * f
     w = 2.0 * math.pi * k
     if d == 1:
-        return 2.0 * _quad(lambda s: v(s) * math.cos(w * s), 0.0, R, "cosine transform", points=points)
-    return (2.0 / k) * _quad(
-        lambda s: s * v(s) * math.sin(w * s), 0.0, R, "sine transform", points=points
-    )
+        return 2.0, lambda s, f: f * np.cos(w * s)
+    return 2.0 / k, lambda s, f: s * f * np.sin(w * s)
+
+
+def _radial_transform(v: Callable, R: float, d: int, k: float = 0.0, power: int = 1, points=None) -> float:
+    # int v(|x|)^power e^{-2 pi i k.x} d^d x for radial v supported in |x| <= R
+    c, g = _radial_kernel(d, k)
+    return c * _quad(lambda s: g(s, v(s) ** power), 0.0, R, "radial transform", points=points)
 
 
 @functools.lru_cache(maxsize=None)  # n <= 31 at 50 radians a piece, so few rules are held
@@ -231,14 +232,15 @@ def _oscillatory_nodes(theta: float) -> int:
 
 class _PiecewiseLinear:
     """Radial profile, linear between knots 0 = r_0 < r_1 < ... < r_m and zero
-    beyond r_m, whose integrals are per-segment Gauss-Legendre sums.
+    beyond r_m, evaluated at a radius or an array of radii.  Its one
+    integral, ``transform(d, k, power)``, is a per-segment Gauss-Legendre sum.
 
-    The polynomial integrands (volume integrals of v and v^2) are exact to
-    rounding.  For the transforms the node count is chosen from w h, w the
-    angular wavenumber and h the longest segment (cut into pieces of at
-    most 50 radians), so that each rule's error bound stays below 1e-17 of
-    its scale, and the sum is within 1e-13 of the L1 norm that bounds the
-    transform (tested against mpmath).
+    At k = 0 the integrands (volume integrals of v and v^2) are polynomials
+    of degree <= 4 and the sums are exact to rounding.  For k != 0 the node
+    count is chosen from w h, w the angular wavenumber and h the longest
+    segment (cut into pieces of at most 50 radians), so that each rule's
+    error bound stays below 1e-17 of its scale, and the sum is within 1e-13
+    of the L1 norm that bounds the transform (tested against mpmath).
     """
 
     def __init__(self, r: np.ndarray, values: np.ndarray):
@@ -260,8 +262,8 @@ class _PiecewiseLinear:
             raise ValueError("radii must start at 0 and increase strictly")
         return cls(r, values)
 
-    def __call__(self, s: float) -> float:
-        return float(np.interp(s, self.r, self.values, right=0.0))
+    def __call__(self, s):
+        return np.interp(np.abs(s), self.r, self.values, right=0.0)
 
     def absolute(self) -> "_PiecewiseLinear":
         """|v|, with a knot added where v changes sign inside a segment, so
@@ -281,31 +283,23 @@ class _PiecewiseLinear:
         v = self.values[:-1, None] + (self.values[1:, None] - self.values[:-1, None]) * frac
         return s.ravel(), (h * np.tile(w, pieces) / (2 * pieces)).ravel(), v.ravel()
 
-    def volume_integral(self, d: int, power: int = 1) -> float:
-        """int v(|x|)^power d^d x over R^d, for d = 1 or 3."""
-        s, w, v = self._nodes(_POLY_NODES)
-        if d == 1:
-            return 2.0 * float(np.dot(w, v**power))
-        return 4.0 * math.pi * float(np.dot(w, s * s * v**power))
-
-    def transform(self, d: int, k: float) -> float:
-        """int v(|x|) e^{-2 pi i k.x} d^d x, real and even in k by symmetry,
-        for d = 1 or 3."""
+    def transform(self, d: int, k: float = 0.0, power: int = 1) -> float:
+        """int v(|x|)^power e^{-2 pi i k.x} d^d x, real and even in k by
+        symmetry, for d = 1 or 3; k = 0 gives the volume integral."""
         if not math.isfinite(k):
             raise ValueError(f"wavenumber must be finite, got {k}")
         k = abs(k)
         if k == 0.0:
-            return self.volume_integral(d)
-        omega = 2.0 * math.pi * k
-        theta = omega * float(np.diff(self.r).max())
-        pieces = max(1, math.ceil(theta / _PIECE_RADIANS))
-        n = _oscillatory_nodes(theta / pieces)
-        if (len(self.r) - 1) * pieces * n > _MAX_TRANSFORM_NODES:
-            raise QuadratureError(f"transform at k = {k} needs more than {_MAX_TRANSFORM_NODES} nodes")
-        s, w, v = self._nodes(n, pieces)
-        if d == 1:
-            return 2.0 * float(np.dot(w, v * np.cos(omega * s)))
-        return (2.0 / k) * float(np.dot(w, s * v * np.sin(omega * s)))
+            s, w, v = self._nodes(_POLY_NODES)
+        else:
+            theta = 2.0 * math.pi * k * float(np.diff(self.r).max())
+            pieces = max(1, math.ceil(theta / _PIECE_RADIANS))
+            n = _oscillatory_nodes(theta / pieces)
+            if (len(self.r) - 1) * pieces * n > _MAX_TRANSFORM_NODES:
+                raise QuadratureError(f"transform at k = {k} needs more than {_MAX_TRANSFORM_NODES} nodes")
+            s, w, v = self._nodes(n, pieces)
+        c, g = _radial_kernel(d, k)
+        return c * float(np.dot(w, g(s, v**power)))
 
 
 def _clip_points(candidates, lo: float, hi: float):
@@ -320,7 +314,12 @@ def autocorrelation_potential(
     ``v_support``: u(x) = int v(|x+y|) v(|y|) dy, so uhat = |vhat|^2 >= 0
     by construction.  Supported in d = 1 and d = 3 (the radial reduction
     of the overlap integral is dimension-specific).  ``breakpoints`` lists
-    radii where v is not smooth, guiding the quadrature."""
+    radii where v is not smooth, guiding the quadrature.
+
+    vhat(k), uhat(0) = vhat(0)^2 and u0 = int v^2 come from one integral of
+    the profile: segment sums for a profile read from a file (exact at
+    k = 0), adaptive quadrature for a Python callable.  u(0) is that u0;
+    u(r) at r > 0 is an overlap quadrature, nested in d = 3."""
     if d not in (1, 3):
         raise UnsupportedDimensionError(
             f"autocorrelation construction implemented for d in (1, 3), got {d}"
@@ -334,13 +333,18 @@ def autocorrelation_potential(
     if min(v(float(s)) for s in probe) < 0.0:
         raise ValueError("profile v must be nonnegative on its support")
 
+    if isinstance(v, _PiecewiseLinear):
+        integral = v.transform
+    else:
+        integral = functools.partial(_radial_transform, v, R, points=_clip_points(bp, 0.0, R))
+    u0 = integral(d, power=2)  # u(0) = int v^2
+    vhat0 = integral(d)
+
     if d == 1:
 
-        def u_scalar(r: float) -> float:
+        def overlap(r: float) -> float:
             # both factors vanish outside y in [-R, R - r]; kinks where
             # either |y| or |r + y| crosses 0 or a breakpoint of v
-            if r >= 2.0 * R:
-                return 0.0
             cands = [-r, 0.0]
             for b in bp:
                 cands += [b, -b, b - r, -b - r]
@@ -351,14 +355,7 @@ def autocorrelation_potential(
 
     else:
 
-        def u_scalar(r: float) -> float:
-            if r >= 2.0 * R:
-                return 0.0
-            if r == 0.0:
-                return 4.0 * math.pi * _quad(
-                    lambda s: s * s * v(s) ** 2, 0.0, R, "overlap at 0", points=_clip_points(bp, 0.0, R)
-                )
-
+        def overlap(r: float) -> float:
             def outer(s: float) -> float:
                 lo, hi = abs(r - s), min(r + s, R)
                 if lo >= hi:
@@ -374,19 +371,13 @@ def autocorrelation_potential(
                 outer, 0.0, R, "overlap outer", points=_clip_points(cands, 0.0, R)
             )
 
-    if isinstance(v, _PiecewiseLinear):  # a profile read from a file: exact segment sums
-        vhat = functools.partial(v.transform, d)
-        u0 = v.volume_integral(d, power=2)  # u(0) = int v^2
-    else:
-        vbp = _clip_points(bp, 0.0, R)
+    def u_scalar(r: float) -> float:
+        if r >= 2.0 * R:
+            return 0.0
+        return u0 if r == 0.0 else overlap(r)
 
-        def vhat(k: float) -> float:
-            return _radial_transform(v, R, d, k, points=vbp)
-
-        u0 = u_scalar(0.0)
-    vhat0 = vhat(0.0)
     u = _radialize(u_scalar)
-    uhat = _radialize(lambda k: vhat(k) ** 2)
+    uhat = _radialize(lambda k: integral(d, k) ** 2)
     return PairPotential(
         d=d,
         u=u,
@@ -415,10 +406,9 @@ def tabulated_potential(r: np.ndarray, values: np.ndarray, d: int = 3, eta: floa
     r, values = profile.r, profile.values
     if d not in (1, 3):
         raise UnsupportedDimensionError(f"tabulated profiles implemented for d in (1, 3), got {d}")
-    u = _radialize(profile)
     uhat = _radialize(functools.partial(profile.transform, d))
-    norm1_signed = profile.volume_integral(d)
-    norm1 = profile.absolute().volume_integral(d)
+    norm1_signed = profile.transform(d)
+    norm1 = profile.absolute().transform(d)
     positive = bool(np.all(values >= 0.0))
     # uhat varies on the scale 1/R; probe several of those periods
     kgrid = np.linspace(0.0, 8.0 / float(r[-1]), 48)
@@ -426,7 +416,7 @@ def tabulated_potential(r: np.ndarray, values: np.ndarray, d: int = 3, eta: floa
     positive_type = bool(np.all(uhat_samples >= -1e-10 * abs(norm1_signed)))
     return PairPotential(
         d=d,
-        u=u,
+        u=profile,
         uhat=uhat,
         u0=float(values[0]),
         uhat0=norm1_signed,

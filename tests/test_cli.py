@@ -10,7 +10,7 @@ import pytest
 
 import bosecycles
 from bosecycles import coupling
-from bosecycles.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from bosecycles.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, NUM_MAX, main
 from bosecycles.coupling import CouplingParams, coupling_gain_rate
 from bosecycles.cycle_engine import (
     SystemParams,
@@ -448,6 +448,17 @@ class TestFailedRuns:
     @pytest.mark.parametrize("argv", BAD_ARGVS, ids=["gain-num", "wavefn-num", "wavefn-axis"])
     def test_no_file_left_behind(self, outdir, argv):
         assert main(argv) == EXIT_USAGE
+        assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gain", "--c", "0.5", "--rho-v", "50", "--rho", "1"], ["wavefn", "--n", "4", "--L", "2", "--y", "0.5"]],
+        ids=["gain", "wavefn"],
+    )
+    def test_num_above_cap_refused(self, outdir, capsys, argv):
+        # the first value above the cap exits 2 before any grid is allocated
+        assert main([*argv, "--num", str(NUM_MAX + 1)]) == EXIT_USAGE
+        assert f"--num is capped at {NUM_MAX}" in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
 
     def test_earlier_file_kept(self, outdir):

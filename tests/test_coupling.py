@@ -4,8 +4,10 @@ import itertools
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from bosecycles import coupling
 from bosecycles.coupling import (
     CouplingCensus,
     CouplingParams,
@@ -186,6 +188,43 @@ class TestCensus:
             G = MergerMultigraph(4, mults)
             assert delta == is_merger_graph(G)
             assert K == (k_index(G) if delta else None)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_census_k_matches_component_count(self, n):
+        # the census's rank rule against the graph search, on every support
+        cen = enumerate_merger_graphs(n, 1)
+        for mults, K in zip(cen.vecs.tolist(), cen.k_vals.tolist()):
+            nni, nec = coupling._edge_components(MergerMultigraph(n, mults))
+            assert K == nni - nec
+
+
+class TestCrossCheckCatchesFaults:
+    """The cross-check compares the census with oracles that share no code
+    with it, so a fault on either side raises."""
+
+    def test_miscounting_oracle_raises(self, monkeypatch):
+        def miscount(G):
+            nni, nec = real(G)
+            return nni, nec + (nni > 2)
+
+        real = coupling._edge_components
+        monkeypatch.setattr(coupling, "_edge_components", miscount)
+        with pytest.raises(AssertionError, match="component-count K"):
+            enumerate_merger_graphs(4, 2, cross_check=True)
+
+    def test_flipped_delta_on_a_representative_raises(self, monkeypatch):
+        def flipped(n_vertices, max_multiplicity):
+            pairs, vecs, delta, k_vals = real(n_vertices, max_multiplicity)
+            reps = coupling._canonical_representative_mask(vecs, n_vertices, max_multiplicity + 1)
+            idx = np.flatnonzero(reps)[-1]
+            delta = delta.copy()
+            delta[idx] = not delta[idx]
+            return pairs, vecs, delta, k_vals
+
+        real = coupling._census_arrays
+        monkeypatch.setattr(coupling, "_census_arrays", flipped)
+        with pytest.raises(AssertionError, match="even-degree criterion"):
+            enumerate_merger_graphs(4, 2, cross_check=True)
 
 
 

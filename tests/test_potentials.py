@@ -726,6 +726,28 @@ class TestSegmentIntegrals:
                 want = float(_profile_transform(r, v, d, float(k)) ** 2)
                 assert abs(float(p.uhat(float(k))) - want) <= 1e-13 * p.uhat0
 
+    @pytest.mark.parametrize(
+        "r,v",
+        [_PROFILES["exponential"], (np.linspace(0.0, 1.0, 5), 1.0 - np.linspace(0.0, 1.0, 5))],
+        ids=["exponential", "hat-5-knots"],
+    )
+    def test_autocorrelation_file_overlap_at_zero_is_u0(self, tmp_path, r, v):
+        # in d = 3 u(0) = int v^2 is the segment sum u0, not a separate quadrature
+        lines = ["r,value"] + [f"{float(a)!r},{float(b)!r}" for a, b in zip(r, v)]
+        (tmp_path / "prof.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "pot.txt").write_text("kind = autocorrelation\nprofile = prof.csv\nd = 3\n")
+        p = load_potential(tmp_path / "pot.txt")
+        assert p.u(0.0) == p.u0
+        with mp.workdps(20):
+            want = float(_segment_quad(r, v, lambda s, u: 4 * mp.pi * s * s * u * u))
+        assert p.u0 == pytest.approx(want, rel=1e-13)
+
+    def test_tabulated_u_takes_arrays(self):
+        r, v = _PROFILES["sign-change"]
+        p = tabulated_potential(r, v, d=1)
+        x = np.array([[-2.0, -0.7, 0.0], [0.13, 1.5, 3.0]])
+        np.testing.assert_array_equal(p.u(x), np.interp(np.abs(x), r, v, right=0.0))
+
     def test_far_wavenumbers_are_cut_into_pieces_or_refused(self):
         # a segment spanning many periods is integrated piece by piece; a
         # transform needing over 10^6 nodes raises instead of allocating them

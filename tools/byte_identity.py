@@ -36,6 +36,9 @@ INPUTS = {
     "tabulated.txt": "kind = tabulated\nprofile = profile.csv\nd = 3\n",
     "autocorrelation.txt": "kind = autocorrelation\nprofile = profile.csv\nd = 3\n",
     "bad_weights.csv": "n,w\n1,1.0\ntwo,0.5\n3,0.2\n4,0.1\n",
+    # a box: positive but not of positive type, so its k != 0 transforms decide the exit code
+    "box.csv": "r,value\n0,1\n1,1\n1.01,0\n",
+    "box.txt": "kind = tabulated\nprofile = box.csv\nd = 3\n",
 }
 
 RUNS = {
@@ -65,6 +68,9 @@ RUNS = {
     "wavefn": ["wavefn", "--n", "4", "--L", "2", "--y", "0.5", "--num", "16"],
     "weights-malformed": ["spectrum", "--rho", "1", "--N", "4", "--weights", "{bad_weights.csv}"],
     "mu-d2": ["mu", "--d", "2", "--rho", "1"],
+    "mu-near-critical": ["mu", "--rho-lambda3", "2.6"],  # z in (0.99, 1): the polylog's incomplete-gamma tail
+    "bounds-box": ["bounds", "--potential", "{box.txt}", "--rho", "0.5"],
+    "bounds-box-c-u": ["bounds", "--potential", "{box.txt}", "--rho", "0.5", "--c-u", "0.1"],
 }
 FORMATS = ("csv", "json")
 
