@@ -67,6 +67,10 @@ OUTDIR_ENV = "BOSECYCLES_OUTDIR"
 # and ~80 MB, and a larger value would allocate its grid unchecked
 NUM_MAX = 100_000
 _EMIT_BATCH = 4096  # rendered pieces joined per write
+_CENSUS_CHUNK = 4096  # merger census rows filled per byte matrix
+# marks a pre-rendered JSON value in the encoder's output; no argument can
+# hold it, as argv entries and file paths cannot contain NUL
+_SPLICE = "\0rendered\0"
 
 
 class ConfigError(ValueError):
@@ -246,33 +250,99 @@ def _columns(header, rows) -> dict:
     return {name: list(col) for name, col in zip(header, zip(*rows))}
 
 
+class _Rendered:
+    """Output text rendered ahead of ``_emit``: an iterable of ASCII
+    bytes-like chunks, written into the file as they come.  It stands for
+    a CSV body (the lines after the header) or for a top-level JSON
+    payload value, laid out as ``json.dumps(indent=2)`` lays out a value
+    at depth 1."""
+
+    def __init__(self, chunks):
+        self.chunks = chunks
+
+
 def _emit(args, config: dict, header, rows, payload: dict) -> Path:
     """Write the run's output file and return its path.
 
     CSV: ``config`` as ``# key = value`` lines, the header, then ``rows``
-    (any iterable, consumed once).  JSON: ``{"config": config, **payload}``.
+    (any iterable, consumed once, or a ``_Rendered`` body).  JSON:
+    ``{"config": config, **payload}``; a ``_Rendered`` payload value is
+    spliced in where the encoder would have written it.
     The whole file is rendered in memory before the output path is opened,
     so a run that fails while producing rows leaves no file behind and an
     earlier file untouched; the one open follows a symlinked output path.
     """
     if args.format == "json":
-        pieces = itertools.chain(json.JSONEncoder(indent=2).iterencode({"config": config, **payload}), ["\n"])
+        spliced = {key: _SPLICE if isinstance(val, _Rendered) else val for key, val in payload.items()}
+        pieces = json.JSONEncoder(indent=2).iterencode({"config": config, **spliced})
+        marker = json.dumps(_SPLICE)  # the encoder yields a string value as one piece
+        segments = []
+        for val in payload.values():
+            if isinstance(val, _Rendered):
+                segments += [iter(pieces.__next__, marker), val]  # the pieces up to its marker
+        segments.append(itertools.chain(pieces, ["\n"]))
     else:
-        pieces = itertools.chain(
-            (f"# {key} = {_cell(val)}\n" for key, val in config.items()),
-            [",".join(header) + "\n"],
-            (",".join(map(_cell, row)) + "\n" for row in rows),
+        head = itertools.chain(
+            (f"# {key} = {_cell(val)}\n" for key, val in config.items()), [",".join(header) + "\n"]
         )
+        body = rows if isinstance(rows, _Rendered) else (",".join(map(_cell, row)) + "\n" for row in rows)
+        segments = [head, body]
     buf = io.BytesIO()
     text = io.TextIOWrapper(buf)  # encodes as a text-mode open would
-    # joined in batches: a write per JSON piece would slow a large render by a quarter
-    while batch := "".join(itertools.islice(pieces, _EMIT_BATCH)):
-        text.write(batch)
+    for segment in segments:
+        if isinstance(segment, _Rendered):
+            text.flush()  # the text so far goes ahead of the chunks
+            for chunk in segment.chunks:
+                buf.write(chunk)
+        else:
+            # joined in batches: a write per JSON piece would slow a large render by a quarter
+            while batch := "".join(itertools.islice(segment, _EMIT_BATCH)):
+                text.write(batch)
     text.detach()  # flushes into buf and leaves it open
     path = _output_path(args, config["command"])
     with open(path, "wb") as fp:
         fp.write(buf.getbuffer())  # a view of the rendered bytes, not a copy
     return path
+
+
+def _census_body(census, fmt: str):
+    """The merger census rows as ASCII byte chunks, in census order: the
+    CSV lines, or the JSON ``rows`` list as ``json.dumps(indent=2)`` lays
+    it out at depth 1.
+
+    The census caps (5 vertices, multiplicity 3) make every cell one
+    digit, so a row is a fixed byte template with one-byte digit slots,
+    filled for a chunk of rows at once as a uint8 matrix.  A row with
+    Delta = 0 keeps only as much of the K slot as its undefined K takes:
+    nothing in CSV, ``null`` in JSON.
+    """
+    n_pairs = census.vecs.shape[1]
+    # "\0" marks a multiplicity or Delta digit, "\1" the K slot
+    if fmt == "csv":
+        row = ",".join(["\0"] * (n_pairs + 1) + ["\1"]) + "\n"
+        undefined, opening, cut, closing = b"", b"", 0, b""
+    else:
+        mults = "[\n" + ",\n".join(["        \0"] * n_pairs) + "\n      ]" if n_pairs else "[]"
+        row = f'    {{\n      "multiplicities": {mults},\n      "delta": \0,\n      "K": \1\1\1\1\n    }},\n'
+        undefined, opening, cut, closing = b"null", b"[\n", len(b",\n"), b"\n  ]"
+    template = np.frombuffer(row.encode(), dtype=np.uint8).copy()
+    digits, k_slot = np.flatnonzero(template == 0), np.flatnonzero(template == 1)
+    template[k_slot[: len(undefined)]] = np.frombuffer(undefined, dtype=np.uint8)
+    yield opening
+    for start in range(0, census.total, _CENSUS_CHUNK):
+        part = slice(start, start + _CENSUS_CHUNK)
+        defined = census.delta[part]
+        mat = np.empty((len(defined), len(template)), dtype=np.uint8)
+        mat[:] = template
+        mat[:, digits[:-1]] = census.vecs[part] + ord("0")
+        mat[:, digits[-1]] = defined + ord("0")
+        mat[defined, k_slot[0]] = census.k_vals[part][defined] + ord("0")
+        keep = np.ones(mat.shape, dtype=bool)
+        keep[:, k_slot[0]] = defined | bool(undefined)
+        keep[:, k_slot[1:]] = ~defined[:, None]
+        body = mat[keep]
+        yield body if part.stop < census.total else body[: len(body) - cut]  # no "," after the last row
+    yield closing
 
 
 # ----------------------------------------------------------------------
@@ -423,12 +493,8 @@ def cmd_merger(args) -> int:
     }
     # full row dump only at sizes where the JSON stays manageable
     if args.format == "json" and census.total <= 65536:
-        payload["rows"] = [
-            {"multiplicities": mults, "delta": delta, "K": K}
-            for mults, delta, K in census.rows()
-        ]
-    rows = ((*mults, delta, K) for mults, delta, K in census.rows())
-    path = _emit(args, config, header, rows, payload)
+        payload["rows"] = _Rendered(_census_body(census, "json"))
+    path = _emit(args, config, header, _Rendered(_census_body(census, "csv")), payload)
     hist = "  ".join(f"K={k}:{census.k_histogram[k]}" for k in sorted(census.k_histogram))
     print(f"graphs = {census.total}  admissible = {census.admissible}")
     print(hist)

@@ -454,19 +454,25 @@ def _check_size_cap(n_vertices: int, max_multiplicity: int) -> None:
 def _canonical_representative_mask(vecs: np.ndarray, n_vertices: int, base: int) -> np.ndarray:
     # a graph is its orbit's representative if its packed code is minimal
     # over all vertex relabelings; Delta, K and decomposability are
-    # relabeling-invariant, so checking representatives checks everything
+    # relabeling-invariant, so checking representatives checks everything.
+    # The census caps give codes below 4^10 < 2^31, so int32 sums are exact
     pairs = _pair_list(n_vertices)
     pair_index = {p: k for k, p in enumerate(pairs)}
-    powers = (base ** np.arange(len(pairs), dtype=np.int64)).astype(np.int64)
-    own = vecs.astype(np.int64) @ powers
+    powers = [base**k for k in range(len(pairs))]
+    digits = np.ascontiguousarray(vecs.T, dtype=np.int32)  # one row per pair
+    term = np.empty(len(vecs), dtype=np.int32)
+
+    def relabeled_code(perm) -> np.ndarray:
+        # pair (i, j) moves to (perm[i], perm[j]), so its digit takes that pair's power
+        code = np.zeros(len(vecs), dtype=np.int32)
+        for k, (i, j) in enumerate(pairs):
+            code += np.multiply(digits[k], powers[pair_index[tuple(sorted((perm[i], perm[j])))]], out=term)
+        return code
+
+    own = relabeled_code(range(n_vertices))
     mincode = own.copy()
     for perm in itertools.permutations(range(n_vertices)):
-        gather = np.empty(len(pairs), dtype=np.int64)
-        for k, (i, j) in enumerate(pairs):
-            pi, pj = perm[i], perm[j]
-            gather[k] = pair_index[(min(pi, pj), max(pi, pj))]
-        code = vecs[:, gather].astype(np.int64) @ powers
-        np.minimum(mincode, code, out=mincode)
+        np.minimum(mincode, relabeled_code(perm), out=mincode)
     return own == mincode
 
 

@@ -133,6 +133,23 @@ def psi_gaussian_form(params: CycleWaveParams, x) -> float:
     return out
 
 
+def _shifted_norm(params: CycleWaveParams) -> tuple[np.ndarray, np.ndarray]:
+    # the fractional shift s and the normalization sqrt(L) sqrt(shifted theta)
+    # per coordinate; both depend on the parameters alone
+    s = np.array(params.shift)
+    lead, rest = _theta(params.a_den, s)
+    denom = (np.exp(lead) * (1.0 + rest)).real
+    if not (denom > 0.0).all():
+        i = int(np.argmin(denom))
+        raise RuntimeError(f"shifted theta collapsed to {denom[i]} at s = {s[i]}")
+    return s, math.sqrt(params.L) * np.sqrt(denom)
+
+
+def _psi_at(params: CycleWaveParams, x: np.ndarray, s: np.ndarray, norm: np.ndarray) -> complex:
+    lead, rest = _theta(params.a_num, s, (x - params.y) / params.L)
+    return complex(np.prod(np.exp(lead) * (1.0 + rest) / norm))
+
+
 def psi_shifted(params: CycleWaveParams, x) -> complex:
     """Average-momentum-shifted wave function: the plane-wave sum runs
     over momenta (2 pi/L)(z + s) with s the fractional shift, and the
@@ -140,14 +157,7 @@ def psi_shifted(params: CycleWaveParams, x) -> complex:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (params.d,):
         raise ValueError(f"point must have {params.d} components, got shape {x.shape}")
-    s = np.array(params.shift)
-    lead, rest = _theta(params.a_den, s)
-    denom = (np.exp(lead) * (1.0 + rest)).real
-    if not (denom > 0.0).all():
-        i = int(np.argmin(denom))
-        raise RuntimeError(f"shifted theta collapsed to {denom[i]} at s = {s[i]}")
-    lead, rest = _theta(params.a_num, s, (x - params.y) / params.L)
-    return complex(np.prod(np.exp(lead) * (1.0 + rest) / (math.sqrt(params.L) * np.sqrt(denom))))
+    return _psi_at(params, x, *_shifted_norm(params))
 
 
 def wave_profile(params: CycleWaveParams, axis: int = 0, num: int = 257):
@@ -157,11 +167,12 @@ def wave_profile(params: CycleWaveParams, axis: int = 0, num: int = 257):
         raise ValueError(f"axis must lie in 0..{params.d - 1}, got {axis}")
     if num < 2:
         raise ValueError(f"need at least 2 samples, got {num}")
+    s, norm = _shifted_norm(params)
     rows = []
     base = np.array(params.y, dtype=float)
     for t in np.linspace(0.0, params.L, num, endpoint=False):
         x = base.copy()
         x[axis] += t
-        val = psi_shifted(params, x)
+        val = _psi_at(params, x, s, norm)
         rows.append((float(t), val.real, val.imag, abs(val) ** 2))
     return rows

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -309,6 +310,50 @@ class TestMerger:
         argv = ["merger", "--vertices", "4", "--max-multiplicity", "2", "--format", fmt]
         assert main(argv) == EXIT_OK
         assert calls == [(4, 2)]
+
+
+class TestMergerRender:
+    """The merger files, rendered from the census arrays, against the same
+    rows rendered one by one from ``census.rows()``."""
+
+    # (4, 3) is exactly one 4096-row chunk; (5, 2) spans fifteen
+    SIZES = [(1, 1), (2, 3), (3, 3), (4, 3), (5, 1), (5, 2)]
+
+    @staticmethod
+    def _run(vertices, max_mult, fmt):
+        argv = ["merger", "--vertices", str(vertices), "--max-multiplicity", str(max_mult)]
+        assert main(argv + ["--format", fmt]) == EXIT_OK
+        config = {"command": "merger", "vertices": vertices, "max_multiplicity": max_mult,
+                  "cross_check": False}
+        return config, coupling.enumerate_merger_graphs(vertices, max_mult)
+
+    @pytest.mark.parametrize("vertices,max_mult", SIZES)
+    def test_csv_bytes(self, outdir, vertices, max_mult):
+        config, census = self._run(vertices, max_mult, "csv")
+        header = [f"m{i}{j}" for i in range(vertices) for j in range(i + 1, vertices)] + ["delta", "K"]
+        want = "".join(f"# {key} = {val}\n" for key, val in config.items()) + ",".join(header) + "\n"
+        want += "".join(
+            ",".join(map(str, (*mults, delta, "" if K is None else K))) + "\n"
+            for mults, delta, K in census.rows()
+        )
+        got = (outdir / "merger.csv").read_bytes()
+        assert got == want.encode()
+        with open(outdir / "merger.csv", newline="") as fp:
+            lines = [row for row in csv.reader(fp) if not row[0].startswith("#")]
+        assert lines[0] == header
+        assert len(lines) - 1 == census.total
+
+    @pytest.mark.parametrize("vertices,max_mult", SIZES)
+    def test_json_bytes(self, outdir, vertices, max_mult):
+        config, census = self._run(vertices, max_mult, "json")
+        payload = {
+            "total": census.total,
+            "admissible": census.admissible,
+            "k_histogram": {str(k): census.k_histogram[k] for k in sorted(census.k_histogram)},
+            "rows": [{"multiplicities": list(m), "delta": d, "K": K} for m, d, K in census.rows()],
+        }
+        want = json.dumps({"config": config, **payload}, indent=2) + "\n"
+        assert (outdir / "merger.json").read_bytes() == want.encode()
 
 
 class TestGain:

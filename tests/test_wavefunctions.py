@@ -220,6 +220,13 @@ class TestProfileExport:
         assert t0 == 0.0
         assert a20 == pytest.approx(re0**2 + im0**2, rel=1e-12)
 
+    def test_rows_are_psi_shifted_samples(self):
+        # the profile's normalization, computed once, against psi_shifted per point
+        p = CycleWaveParams(n=3, L=2.0, lam=1.0, y=(0.5, 0.1), xbar=(0.0, 0.7))
+        for t, re, im, a2 in wave_profile(p, axis=1, num=9):
+            val = psi_shifted(p, (0.5, 0.1 + t))
+            assert (re, im, a2) == (val.real, val.imag, abs(val) ** 2)
+
     def test_axis_validation(self):
         p = CycleWaveParams(n=2, L=1.5, lam=0.8, y=(0.2,))
         with pytest.raises(ValueError, match="axis"):

@@ -95,8 +95,8 @@ TRACED = {
     "recursion": [f"{LAYER}.{k}" for k in ("calls", "busy_s", "terms", "terms_per_s")]
     + [f"accuracy.{k}" for k in ("norm_residual_max", "norm_residual_breach", "identity_rel_err_max", "logQ_rel_err_max")],
     "sampling": [f"{DRAW}.{k}" for k in ("draws_per_s", "held_mb", "share")] + ["accuracy.sampler_macro_z"],
-    "cli-cold": ["cli.start_import_share", "cli.mu.busy_s", "cli.bounds.busy_s", "import.bosecycles_s",
-                 "process.interpreter_start_s"],
+    "cli-cold": ["cli.start_import_share", "cli.mu.busy_s", "cli.bounds.busy_s", "cli.merger.busy_s",
+                 "cli.wavefn.busy_s", "import.bosecycles_s", "process.interpreter_start_s"],
 }
 UNTRACED = {"cli-cold": ["ops_per_s", "op_p50_s", "op_p90_s", "setup_s", "peak_rss_mb", "pass_rate"]}
 WHAT = {

@@ -71,6 +71,11 @@ RUNS = {
     "mu-near-critical": ["mu", "--rho-lambda3", "2.6"],  # z in (0.99, 1): the polylog's incomplete-gamma tail
     "bounds-box": ["bounds", "--potential", "{box.txt}", "--rho", "0.5"],
     "bounds-box-c-u": ["bounds", "--potential", "{box.txt}", "--rho", "0.5", "--c-u", "0.1"],
+    "merger-5-m2": ["merger", "--vertices", "5", "--max-multiplicity", "2"],  # the cli-cold merger op
+    "merger-5": ["merger", "--vertices", "5"],  # a 1M-row CSV; the JSON has no rows
+    "merger-1": ["merger", "--vertices", "1"],  # zero pairs
+    "merger-2-m1": ["merger", "--vertices", "2", "--max-multiplicity", "1"],
+    "wavefn-xbar": ["wavefn", "--n", "3", "--L", "2", "--y", "0.5,0.1", "--xbar", "0,0.7", "--num", "16"],
 }
 FORMATS = ("csv", "json")
 
