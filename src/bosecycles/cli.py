@@ -38,6 +38,7 @@ import numpy as np
 
 from .coupling import CouplingParams, coupling_sweep, enumerate_merger_graphs, optimize_coupling
 from .cycle_engine import (
+    N_MAX,
     SystemParams,
     WeightSequence,
     aggregate_macroscopic,
@@ -66,6 +67,13 @@ OUTDIR_ENV = "BOSECYCLES_OUTDIR"
 # largest --num of gain and wavefn: at the cap a run takes up to ~20 s
 # and ~80 MB, and a larger value would allocate its grid unchecked
 NUM_MAX = 100_000
+# largest --draws of sample: 1000 draws take ~1.5 s at N = 4096, and at
+# N = N_MAX ~100 s with every draw's ~66000 cycles held and written
+DRAWS_MAX = 1000
+# largest --trials of oracle: ~1 ms a trial at --max-n 10, ~10 s at the cap
+TRIALS_MAX = 10_000
+# most entries of scan --N-list, each in 1..N_MAX: ~1.3 s a build at N_MAX
+N_LIST_MAX = 32
 _EMIT_BATCH = 4096  # rendered pieces joined per write
 _CENSUS_CHUNK = 4096  # merger census rows filled per byte matrix
 # marks a pre-rendered JSON value in the encoder's output; no argument can
@@ -173,6 +181,19 @@ def _resolve_num(args) -> int:
     if args.num > NUM_MAX:
         raise ConfigError(f"--num is capped at {NUM_MAX}, got {args.num}")
     return args.num
+
+
+def _resolve_n_list(args) -> list[int]:
+    """--N-list of scan: at most N_LIST_MAX sizes, each in 1..N_MAX,
+    checked before the first table is built."""
+    if args.N_list is None or not args.N_list:
+        raise ConfigError("--N-list is required (comma-separated system sizes)")
+    if len(args.N_list) > N_LIST_MAX:
+        raise ConfigError(f"--N-list is capped at {N_LIST_MAX} sizes, got {len(args.N_list)}")
+    for N in args.N_list:
+        if not 1 <= N <= N_MAX:
+            raise ConfigError(f"--N-list sizes must lie in 1..{N_MAX}, got {N}")
+    return args.N_list
 
 
 def _weights_and_system(args, params: SystemParams) -> tuple[WeightSequence, dict]:
@@ -362,7 +383,7 @@ def cmd_spectrum(args) -> int:
         "weights": args.weights if args.weights else "ideal",
     }
     header = ("n", "rho_n", "rho_n_over_rho")
-    rows = list(spectrum.rows())
+    rows = list(zip(range(1, params.N + 1), spectrum.rho_n.tolist(), spectrum.fractions.tolist()))
     payload = {
         "N": params.N,
         "rho": spectrum.rho,
@@ -379,15 +400,14 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.N_list is None or not args.N_list:
-        raise ConfigError("--N-list is required (comma-separated system sizes)")
+    N_list = _resolve_n_list(args)
     beta, lam = _resolve_thermal(args)
     rho = _resolve_density(args, lam)
-    rows = finite_size_scan(rho, beta, args.d, args.N_list, args.eps)
+    rows = finite_size_scan(rho, beta, args.d, N_list, args.eps)
     config = {
         "command": "scan",
         "d": args.d,
-        "N_list": args.N_list,
+        "N_list": N_list,
         "rho": rho,
         "beta": beta,
         "lam": lam,
@@ -455,10 +475,12 @@ def cmd_sample(args) -> int:
     params = _resolve_system(args)
     if args.draws < 1:
         raise ConfigError(f"--draws must be >= 1, got {args.draws}")
+    if args.draws > DRAWS_MAX:
+        raise ConfigError(f"--draws is capped at {DRAWS_MAX}, got {args.draws}")
     weights, system = _weights_and_system(args, params)
     table = build_partition_table(params, weights)
     rng = np.random.default_rng(args.seed)
-    types = [sample_cycle_type(table, rng) for _ in range(args.draws)]
+    draws = [sample_cycle_type(table, rng).parts for _ in range(args.draws)]
     config = {
         "command": "sample",
         **system,
@@ -466,10 +488,10 @@ def cmd_sample(args) -> int:
         "draws": args.draws,
         "weights": args.weights if args.weights else "ideal",
     }
-    rows = [(i, len(ct.parts), " ".join(map(str, ct.parts))) for i, ct in enumerate(types, start=1)]
-    payload = {"draws_lengths": [list(ct.parts) for ct in types]}
+    rows = ((i, len(parts), " ".join(map(str, parts))) for i, parts in enumerate(draws, start=1))
+    payload = {"draws_lengths": draws}  # tuples encode as JSON arrays, so no list copies are held
     path = _emit(args, config, ("draw", "n_cycles", "lengths"), rows, payload)
-    longest = [max(ct.parts) for ct in types]
+    longest = [max(parts) for parts in draws]
     print(f"draws = {args.draws}  N = {params.N}")
     print(f"longest_cycle_mean_fraction = {sum(longest) / (args.draws * params.N)!r}")
     print(f"wrote {path}")
@@ -547,6 +569,8 @@ def cmd_oracle(args) -> int:
         raise ConfigError(f"--max-n must be >= 1, got {args.max_n}")
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    if args.trials > TRIALS_MAX:
+        raise ConfigError(f"--trials is capped at {TRIALS_MAX}, got {args.trials}")
     if not 0.0 <= args.tol < math.inf:
         raise ConfigError(f"--tol must be finite and >= 0, got {args.tol}")
     rng = np.random.default_rng(args.seed)
@@ -654,7 +678,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="macro/band fractions over a ladder of N at fixed density")
     _add_density(p)
-    p.add_argument("--N-list", dest="N_list", type=_int_list, help="comma-separated sizes")
+    p.add_argument(
+        "--N-list", dest="N_list", type=_int_list, help="comma-separated sizes (at most 32, each 1..100000)"
+    )
     p.add_argument("--eps", type=float, default=0.01, help="macroscopic-cycle threshold (default 0.01)")
     _add_common(p)
     p.set_defaults(func=cmd_scan)
@@ -674,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="exact cycle-type draws from the canonical distribution")
     _add_system(p)
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--draws", type=int, default=1, help="number of cycle types to draw (default 1)")
+    p.add_argument("--draws", type=int, default=1, help="number of cycle types to draw (default 1, max 1000)")
     p.add_argument("--weights", help="CSV of custom cycle weights (n,w), used verbatim")
     _add_common(p)
     p.set_defaults(func=cmd_sample)
@@ -719,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-n", dest="max_n", type=int, default=8, help="largest N enumerated (default 8)"
     )
-    p.add_argument("--trials", type=int, default=5, help="random weight sequences (default 5)")
+    p.add_argument("--trials", type=int, default=5, help="random weight sequences (default 5, max 10000)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--tol", type=float, default=1e-10, help="relative tolerance (default 1e-10)")
     _add_common(p)

@@ -421,22 +421,31 @@ def _census_arrays(n_vertices: int, max_multiplicity: int):
     n_pairs = len(pairs)
     base = max_multiplicity + 1
     count = base**n_pairs
-    codes = np.arange(count, dtype=np.int64)
     vecs = np.empty((count, n_pairs), dtype=np.uint8)
     for k in range(n_pairs):
-        vecs[:, k] = (codes // base ** (n_pairs - 1 - k)) % base
-    # signed incidence: +1 at i and -1 at j for pair (i, j); a vertex's net
-    # signed multiplicity has the parity of its degree
+        # column k runs through 0..base-1, each digit repeated base^(n_pairs-1-k)
+        # times, and that run is tiled base^k times
+        vecs.reshape(base**k, base, -1, n_pairs)[..., k] = np.arange(base, dtype=np.uint8)[:, None]
+    # a vertex's degree is even when the XOR of its pairs' multiplicities is
+    odd = np.zeros(count, dtype=np.uint8)
+    for v in range(n_vertices):
+        parity = np.zeros(count, dtype=np.uint8)
+        for k, pair in enumerate(pairs):
+            if v in pair:
+                parity ^= vecs[:, k]
+        odd |= parity
+    delta = (odd & 1) == 0
+    # signed incidence: +1 at i and -1 at j for pair (i, j)
     inc = np.zeros((n_pairs, n_vertices), dtype=np.int16)
     for k, (i, j) in enumerate(pairs):
         inc[k, i] = 1
         inc[k, j] = -1
-    delta = np.all((vecs.astype(np.int16) @ inc) % 2 == 0, axis=1)
     # K depends only on the support pattern: K = n - (number of components)
     # is the rank of the support's signed incidence matrix, a rule that
     # shares no code with the graph search of the k_index oracle
-    bits = (np.uint32(1) << np.arange(n_pairs, dtype=np.uint32))
-    masks = (vecs > 0).astype(np.uint32) @ bits
+    masks = np.zeros(count, dtype=np.uint16)
+    for k in range(n_pairs):
+        masks |= np.uint16(1 << k) * (vecs[:, k] > 0)
     support = (np.arange(1 << n_pairs)[:, None] >> np.arange(n_pairs)) & 1
     k_by_mask = np.linalg.matrix_rank(support[:, :, None] * inc).astype(np.int16)
     return pairs, vecs, delta, k_by_mask[masks]

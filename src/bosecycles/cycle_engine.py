@@ -14,12 +14,14 @@ The recursion is O(N^2), capped at N <= 10^5.  Rows come in blocks of
 256: the first block runs the exact log-space loop; each later block is
 tilted by the local slope of log Q (the scaling identity w_n -> c^n w_n
 makes the tilt exact), takes its terms from all earlier rows in one
-correlation, and finishes with a short triangular loop.  The cap takes
-about 1-3 s.
+correlation, and solves its own rows 16 at a time, each 16 with a
+precomputed nonnegative inverse of their triangular system.  The cap
+takes about 1-3 s.
 
 Exact cycle types are drawn by chop-down inversion of the same law:
 each step walks n = 1, 2, ... over the terms w_n Q_{M-n}/Q_M, so a draw
-costs O(N) in all and leaves no state on the table.
+costs O(N) in all and leaves no state on the table.  Its uniforms come
+in blocks, and the Generator is rewound to the count used.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ _BLOCK = 256  # rows per block of the recursion; the first block runs the exact 
 # that is at least e^{-150}.
 _TILT_LOG_MAX = 150.0
 _FLUSH_LOG = 350.0
+_SUB = 16  # rows per triangular solve inside a tilted block; the inverse below assumes 16
 
 WEIGHT_TAGS = ("ideal", "dcp-lower", "dcp-upper", "custom")
 
@@ -171,11 +174,6 @@ class CycleSpectrum:
         """rho_n / rho, the probability that a tagged particle sits in an n-cycle."""
         return self.rho_n / self.rho
 
-    def rows(self) -> Iterator[tuple[int, float, float]]:
-        frac = self.fractions
-        for i, r in enumerate(self.rho_n):
-            yield i + 1, float(r), float(frac[i])
-
 
 @dataclass
 class LogPartitionTable:
@@ -287,8 +285,9 @@ def _tilted_rows(log_w: np.ndarray, D: np.ndarray, M0: int, M1: int) -> np.ndarr
     With w~_n = w_n e^{-bn} and r_j = Q_j e^{-b(j-M0+1)} / Q_{M0-1} the
     recursion keeps its form, M r_M = sum_n w~_n r_{M-n}, and both factors
     stay near 1 where log Q bends slowly.  log r_j for j < M0 is a
-    reversed cumsum of D - b.  Returns None when a factor or a result
-    would pass e^{+-_TILT_LOG_MAX}.
+    reversed cumsum of D - b.  The terms from before the block come from
+    one correlation; the block's own rows are solved _SUB at a time.
+    Returns None when a factor or a result would pass e^{+-_TILT_LOG_MAX}.
     """
     b = D[M0 - 2]
     log_wt = log_w[: M1 - 1] - b * np.arange(1, M1)
@@ -301,11 +300,29 @@ def _tilted_rows(log_w: np.ndarray, D: np.ndarray, M0: int, M1: int) -> np.ndarr
     rows = M1 - M0
     k = 1 + min(np.flatnonzero(r_rev).max(), np.flatnonzero(wt).max(initial=0))
     cross = np.correlate(wt[: rows - 1 + k], r_rev[:k], "valid")
-    w_rev = wt[rows - 1 :: -1]  # sum_{n <= i} w~_n r_{M0+i-n} = w_rev[rows-i:] . r[:i]
+    # Rows i0..i0+_SUB-1 of the block solve (diag(m) - T) r = rhs with m = M0 + i
+    # and T[a, c] = w~_{a-c} below the diagonal.  With N = T/m (rows scaled)
+    # the inverse is (I + N)(I + N^2)(I + N^4)(I + N^8) diag(1/m): every
+    # factor is >= 0, so nothing cancels.
+    lag = np.subtract.outer(np.arange(_SUB), np.arange(_SUB))
+    T = np.where(lag > 0, wt[lag - 1], 0.0)
+    m = M0 + np.arange(-(-rows // _SUB) * _SUB, dtype=float).reshape(-1, _SUB)
+    power = T / m[:, :, None]
+    inv = np.eye(_SUB) + power
+    for _ in range(3):  # N^2, N^4, N^8; N^16 = 0
+        power = power @ power
+        inv += inv @ power
+    inv /= m[:, None, :]
     r = np.empty(rows)
-    r[0] = cross[0] / M0
-    for i in range(1, rows):
-        r[i] = (cross[i] + w_rev[rows - i :].dot(r[:i])) / (M0 + i)
+    for s, i0 in enumerate(range(0, rows, _SUB)):
+        i1 = min(i0 + _SUB, rows)
+        L = i1 - i0
+        rhs = cross[i0:i1]
+        if i0:  # the terms from earlier rows of this block
+            rhs = rhs + np.correlate(wt[: i1 - 1], r[i0 - 1 :: -1], "valid")
+        x = inv[s, :L, :L] @ rhs
+        # one pass of the row formula keeps the w == 1 fixed point bit-exact
+        r[i0:i1] = (rhs + T[:L, :L] @ x) / m[s, :L]
     log_r = np.log(r)
     if not np.all(np.abs(log_r) <= _TILT_LOG_MAX):
         return None
@@ -319,9 +336,9 @@ def build_partition_table(params: SystemParams, weights: WeightSequence) -> LogP
     N <= _BLOCK is that loop's output bit for bit.  Each later block of
     _BLOCK rows is tilted by the local slope of log Q and solved in linear
     space: one correlation for the terms that reach back before the block,
-    then a short triangular loop inside it.  It yields the O(1) steps D_M,
-    and log Q is their running sum.  A block whose tilted logs leave the
-    float range runs the exact loop instead.
+    then triangular solves of _SUB rows inside it.  It yields the O(1)
+    steps D_M, and log Q is their running sum.  A block whose tilted logs
+    leave the float range runs the exact loop instead.
 
     The w == 1 fixed point gives logQ[M] = 0 bit-exactly on both paths.
     """
@@ -359,21 +376,32 @@ def sample_cycle_type(table: LogPartitionTable, seed) -> CycleType:
     draw recurses on M - n.  ``seed`` is a 64-bit integer or an existing
     numpy Generator (for repeated sampling without re-seeding).
 
-    Each step takes one uniform u and walks n = 1, 2, ... adding up
+    Each step takes the next uniform u and walks n = 1, 2, ... adding up
     w_n Q_{M-n}/Q_M (its log a running sum of the steps D) until the sum
     passes u M; the terms add up to M, and a sum that rounding leaves
     short at n = M returns M.  A step that returns n sums n terms and the
     lengths add up to N, so a draw costs O(N) whatever the table, and the
     table keeps nothing of it.
+
+    The uniforms are drawn in growing blocks.  At the end the Generator's
+    saved state is restored and advanced by exactly the count used, so it
+    ends where one scalar ``rng.random()`` per step would leave it, for
+    any bit generator, and the seeded draws are those of that walk.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    state = rng.bit_generator.state
     log_w = table.weights.log_w[: table.N].tolist()
     D = table.D.tolist()
     exp = math.exp
+    uniforms = []
+    used = 0
     parts = []
     M = table.N
     while M > 0:
-        target = rng.random() * M
+        if used == len(uniforms):
+            uniforms += rng.random(max(64, used)).tolist()
+        target = uniforms[used] * M
+        used += 1
         total = log_ratio = 0.0
         n = 0
         while n < M:
@@ -384,6 +412,9 @@ def sample_cycle_type(table: LogPartitionTable, seed) -> CycleType:
                 break
         parts.append(n)
         M -= n
+    # rewind: the Generator ends where `used` scalar rng.random() calls leave it
+    rng.bit_generator.state = state
+    rng.random(used)
     return CycleType(tuple(parts))
 
 

@@ -11,9 +11,11 @@ import pytest
 
 import bosecycles
 from bosecycles import coupling
-from bosecycles.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, NUM_MAX, main
+from bosecycles import cli
+from bosecycles.cli import DRAWS_MAX, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, N_LIST_MAX, NUM_MAX, TRIALS_MAX, main
 from bosecycles.coupling import CouplingParams, coupling_gain_rate
 from bosecycles.cycle_engine import (
+    N_MAX,
     SystemParams,
     WeightSequence,
     build_partition_table,
@@ -741,4 +743,36 @@ class TestNonFiniteInputs:
         argv = ["bounds", "--potential", str(src / "pot.txt"), "--rho", "1"]
         assert main(argv) == EXIT_USAGE
         assert "must be finite" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+
+class TestWorkSizeCaps:
+    """Each work-size cap, tried with the first value above it: exit 2
+    before any table, draw or trial, and no file."""
+
+    def test_draws_above_cap_refused(self, outdir, capsys):
+        argv = ["sample", "--rho-lambda3", "1.0", "--N", "16", "--draws", str(DRAWS_MAX + 1)]
+        assert main(argv) == EXIT_USAGE
+        assert f"--draws is capped at {DRAWS_MAX}" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+    def test_trials_above_cap_refused(self, outdir, capsys):
+        assert main(["oracle", "--max-n", "3", "--trials", str(TRIALS_MAX + 1)]) == EXIT_USAGE
+        assert f"--trials is capped at {TRIALS_MAX}" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+    def test_n_list_length_above_cap_refused(self, outdir, capsys):
+        argv = ["scan", "--rho-lambda3", "1.0", "--N-list", ",".join(["8"] * (N_LIST_MAX + 1))]
+        assert main(argv) == EXIT_USAGE
+        assert f"--N-list is capped at {N_LIST_MAX} sizes" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("size", [0, N_MAX + 1])
+    def test_n_list_size_out_of_range_refused_before_any_table(self, outdir, capsys, monkeypatch, size):
+        # the bad size comes last; no earlier size is solved first
+        scanned = []
+        monkeypatch.setattr(cli, "finite_size_scan", lambda *a: scanned.append(a))
+        assert main(["scan", "--rho-lambda3", "1.0", "--N-list", f"8,{size}"]) == EXIT_USAGE
+        assert f"--N-list sizes must lie in 1..{N_MAX}, got {size}" in capsys.readouterr().err
+        assert scanned == []
         assert list(outdir.iterdir()) == []

@@ -536,3 +536,78 @@ class TestAggregateMacroscopic:
         macro, _ = aggregate_macroscopic(s, 0.1)
         below = float(s.rho_n[: math.ceil(0.1 * 256) - 1].sum())
         assert macro + below == pytest.approx(s.rho, rel=1e-12)
+
+
+class TestSubBlockSolve:
+    """Each tilted block is solved 16 rows at a time; a last block may be
+    shorter than one sub-block."""
+
+    @pytest.mark.parametrize("N", [257, 773, 4100])  # one tilted row; a last block of 5 rows
+    @pytest.mark.parametrize("case", ["below", "above", "lognormal"])
+    def test_matches_exact_loop(self, N, case, monkeypatch):
+        if case == "lognormal":
+            p = SystemParams(d=3, L=1.0, N=N, beta=1.0)
+            w = WeightSequence(np.random.default_rng(23).normal(0.0, 1.0, N))
+        else:
+            p = SystemParams.from_degeneracy(3, N, (0.7 if case == "below" else 2.0) * ZETA32, 1.0)
+            w = WeightSequence.ideal(p)
+        exact_blocks = []
+        exact_rows = cycle_engine._exact_rows
+
+        def spy(log_w, logQ, D, M0, M1):
+            exact_blocks.append(M0)
+            exact_rows(log_w, logQ, D, M0, M1)
+
+        monkeypatch.setattr(cycle_engine, "_exact_rows", spy)
+        t = build_partition_table(p, w)
+        assert exact_blocks == [1]  # every later block ran the sub-block solve
+        assert _rel_log_q_error(t, _exact_log_q(w.log_w, N)) <= 1e-13
+        assert abs(_norm_residual(cycle_density_spectrum(t))) <= 1e-12
+
+    def test_constant_weights_fixed_point_bit_exact(self):
+        t = build_partition_table(SystemParams(d=3, L=5.0, N=261, beta=1.0), _const_weights(261))
+        assert np.all(t.logQ == 0.0)
+        assert np.all(t.D == 0.0)
+
+
+def _scalar_walk(table, rng):
+    """The chop-down walk with one scalar rng.random() per step, as the
+    sampler ran before it drew its uniforms in blocks."""
+    log_w = table.weights.log_w[: table.N].tolist()
+    D = table.D.tolist()
+    parts = []
+    M = table.N
+    while M > 0:
+        target = rng.random() * M
+        total = log_ratio = 0.0
+        n = 0
+        while n < M:
+            log_ratio -= D[M - 1 - n]
+            total += math.exp(log_w[n] + log_ratio)
+            n += 1
+            if total > target:
+                break
+        parts.append(n)
+        M -= n
+    return tuple(parts)
+
+
+class TestSamplerStream:
+    """Block uniforms with a rewind leave every seeded stream as the scalar
+    walk leaves it, draw for draw, for any bit generator."""
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
+    @pytest.mark.parametrize("N", [64, 300, 2048])
+    @pytest.mark.parametrize("fraction", [0.7, 2.0])
+    def test_draws_and_next_uniform_match_scalar_walk(self, bit_generator, N, fraction):
+        t = _ideal_table(N=N, rho_lam_d=fraction * ZETA32)
+        rng = np.random.Generator(bit_generator(31))
+        ref = np.random.Generator(bit_generator(31))
+        for _ in range(4):
+            assert sample_cycle_type(t, rng).parts == _scalar_walk(t, ref)
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63])
+    def test_int_seed_matches_scalar_walk(self, seed):
+        t = _ideal_table(N=2048, rho_lam_d=2.0 * ZETA32)
+        assert sample_cycle_type(t, seed).parts == _scalar_walk(t, np.random.default_rng(seed))

@@ -6,7 +6,10 @@
 
 ``--before`` and ``--after`` are source checkouts (each with ``src/`` and
 ``perfbench/``).  Each checkout is measured in a fresh process that
-imports its ``src/``.
+imports its ``src/``.  Before any timing, ``python -m compileall -q``
+writes current byte-code caches for both ``src/`` trees: with
+PYTHONDONTWRITEBYTECODE set, an import never refreshes a stale cache, so
+every cold import would compile the edited modules again.
 
 ``--mode recursion`` (the default), for each N of the ladder and each
 rho*lambda^3 (below and above the d = 3 transition), records:
@@ -30,9 +33,8 @@ counts the draws that are identical on both sides.
 in the benchmark's ``cli-cold`` round, sized as there) as a fresh
 ``python -m bosecycles`` process, ``CLI_REPS`` times per output format
 and checkout, the two checkouts alternating run by run, after one
-untimed run per checkout that writes the byte-code caches (unless
-PYTHONDONTWRITEBYTECODE is set, so give both checkouts current caches
-then), and records the median wall time per argv, format and checkout.
+untimed run per checkout, and records the median wall time per argv,
+format and checkout.
 
 Then ``perfbench/run.py --workload <mode> --trace 1`` runs once in each
 checkout and the layer and accuracy metrics of that mode are kept; for
@@ -206,7 +208,7 @@ def measure_cli(trees: dict[str, Path]) -> dict[str, list[dict]]:
             return time.perf_counter() - start
 
         for tree in trees.values():
-            run(tree, CLI_ARGVS["mu-below"])  # writes the byte-code caches, where the environment lets it
+            run(tree, CLI_ARGVS["mu-below"])  # untimed: warms the file cache
         for kind, template in CLI_ARGVS.items():
             argv = [str(tmp / tok[1:-1]) if tok.startswith("{") else tok for tok in template]
             for fmt in ("csv", "json"):
@@ -270,6 +272,8 @@ def main() -> None:
     if args.before is None or args.after is None:
         parser.error("--before and --after are required")
     trees = {"before": args.before.resolve(), "after": args.after.resolve()}
+    for tree in trees.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree / "src")], check=True)
     rows = measure_cli(trees) if args.mode == "cli-cold" else {}
     before = run_tree(trees["before"], args.mode, args.seed, rows=rows.get("before"))
     after = run_tree(trees["after"], args.mode, args.seed, cap=args.mode == "sampling", rows=rows.get("after"))
