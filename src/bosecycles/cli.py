@@ -38,6 +38,7 @@ import numpy as np
 
 from .coupling import CouplingParams, coupling_sweep, enumerate_merger_graphs, optimize_coupling
 from .cycle_engine import (
+    _BRUTE_FORCE_N_MAX,
     N_MAX,
     SystemParams,
     WeightSequence,
@@ -64,8 +65,8 @@ EXIT_NUMERIC = 3
 
 OUTDIR_ENV = "BOSECYCLES_OUTDIR"
 
-# largest --num of gain and wavefn: at the cap a run takes up to ~20 s
-# and ~80 MB, and a larger value would allocate its grid unchecked
+# largest --num of gain and wavefn: at the cap a cold run takes ~1-2 s and
+# ~70 MB, and a larger value would allocate its grid unchecked
 NUM_MAX = 100_000
 # largest --draws of sample: 1000 draws take ~1.5 s at N = 4096, and at
 # N = N_MAX ~100 s with every draw's ~66000 cycles held and written
@@ -565,8 +566,8 @@ def cmd_gain(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.max_n < 1:
-        raise ConfigError(f"--max-n must be >= 1, got {args.max_n}")
+    if not 1 <= args.max_n <= _BRUTE_FORCE_N_MAX:
+        raise ConfigError(f"--max-n must lie in 1..{_BRUTE_FORCE_N_MAX}, got {args.max_n}")
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if args.trials > TRIALS_MAX:
@@ -578,9 +579,9 @@ def cmd_oracle(args) -> int:
     worst = 0.0
     for trial in range(1, args.trials + 1):
         weights = WeightSequence.from_weights(rng.lognormal(0.0, 1.0, size=args.max_n))
+        # every row lies in the exact first block, so row N is what a table of N rows gives
+        table = build_partition_table(SystemParams(d=3, L=1.0, N=args.max_n, beta=1.0), weights)
         for N in range(1, args.max_n + 1):
-            params = SystemParams(d=3, L=1.0, N=N, beta=1.0)
-            table = build_partition_table(params, weights)
             exact = brute_force_partition_fn(weights, N)
             rel = abs(math.exp(table.logQ[N]) - exact) / exact
             rows.append((trial, N, rel))

@@ -146,7 +146,13 @@ def k_index(G: MergerMultigraph) -> int:
     return n_nonisolated - n_components
 
 
-def _decomposable(state: tuple, pairs, pair_index, n: int, memo: dict) -> bool:
+def _neighbour_table(pairs, n: int) -> list:
+    # per vertex v, (w, index of the pair {v, w}) for every w != v, ascending w
+    index = {p: k for k, p in enumerate(pairs)}
+    return [[(w, index[(min(v, w), max(v, w))]) for w in range(n) if w != v] for v in range(n)]
+
+
+def _decomposable(state: tuple, pairs, neighbours, memo: dict) -> bool:
     # exhaustive circle-peeling; deliberately no parity shortcut, so this
     # is an independent oracle for the even-degree criterion
     if not any(state):
@@ -162,15 +168,12 @@ def _decomposable(state: tuple, pairs, pair_index, n: int, memo: dict) -> bool:
 
     def extend(cur: int, visited: frozenset) -> bool:
         # try to close a simple circle back at i, then peel and recurse
-        for w in range(n):
-            if w == cur:
-                continue
-            k = pair_index[(min(cur, w), max(cur, w))]
+        for w, k in neighbours[cur]:
             if avail[k] == 0:
                 continue
             if w == i:
                 avail[k] -= 1
-                if _decomposable(tuple(avail), pairs, pair_index, n, memo):
+                if _decomposable(tuple(avail), pairs, neighbours, memo):
                     return True
                 avail[k] += 1
             elif w not in visited:
@@ -193,10 +196,9 @@ def decomposes_into_circles(G: MergerMultigraph, memo: dict | None = None) -> bo
             f"and {_SEARCH_MAX_EDGES} edges"
         )
     pairs = G.pairs
-    pair_index = {p: k for k, p in enumerate(pairs)}
     if memo is None:
         memo = {}
-    return _decomposable(G.multiplicities, pairs, pair_index, G.n_vertices, memo)
+    return _decomposable(G.multiplicities, pairs, _neighbour_table(pairs, G.n_vertices), memo)
 
 
 @dataclass(frozen=True)
@@ -503,10 +505,10 @@ def enumerate_merger_graphs(
     if cross_check:
         reps = _canonical_representative_mask(vecs, n_vertices, max_multiplicity + 1)
         memo: dict = {}
-        pair_index = {p: k for k, p in enumerate(pairs)}
+        neighbours = _neighbour_table(pairs, n_vertices)
         for idx in np.flatnonzero(reps):
             state = tuple(int(m) for m in vecs[idx])
-            found = _decomposable(state, pairs, pair_index, n_vertices, memo)
+            found = _decomposable(state, pairs, neighbours, memo)
             if found != bool(delta[idx]):
                 raise AssertionError(
                     f"even-degree criterion disagrees with decomposition search on {state}"

@@ -307,14 +307,13 @@ def _clip_points(candidates, lo: float, hi: float):
     return pts or None
 
 
-def autocorrelation_potential(
-    v: Callable, v_support: float, d: int = 3, breakpoints=None
-) -> PairPotential:
+def autocorrelation_potential(v: Callable, v_support: float, d: int = 3) -> PairPotential:
     """u = v * v for a nonnegative radial profile v vanishing beyond
     ``v_support``: u(x) = int v(|x+y|) v(|y|) dy, so uhat = |vhat|^2 >= 0
     by construction.  Supported in d = 1 and d = 3 (the radial reduction
-    of the overlap integral is dimension-specific).  ``breakpoints`` lists
-    radii where v is not smooth, guiding the quadrature.
+    of the overlap integral is dimension-specific).  The interior knots of
+    a profile read from a file, where it is not smooth, guide the overlap
+    quadrature; a Python callable is taken as smooth.
 
     vhat(k), uhat(0) = vhat(0)^2 and u0 = int v^2 come from one integral of
     the profile: segment sums for a profile read from a file (exact at
@@ -327,8 +326,8 @@ def autocorrelation_potential(
     if not v_support > 0.0:
         raise ValueError(f"support radius must be positive, got {v_support}")
     R = float(v_support)
-    bp = [] if breakpoints is None else sorted(float(b) for b in breakpoints)
-    # the breakpoints are probed too: a piecewise-linear v is then checked at every knot
+    bp = v.r[1:-1].tolist() if isinstance(v, _PiecewiseLinear) else []
+    # the knots are probed too: a piecewise-linear v is then checked at every one
     probe = np.union1d(np.linspace(0.0, R, 257), [b for b in bp if 0.0 <= b <= R])
     if min(v(float(s)) for s in probe) < 0.0:
         raise ValueError("profile v must be nonnegative on its support")
@@ -336,7 +335,7 @@ def autocorrelation_potential(
     if isinstance(v, _PiecewiseLinear):
         integral = v.transform
     else:
-        integral = functools.partial(_radial_transform, v, R, points=_clip_points(bp, 0.0, R))
+        integral = functools.partial(_radial_transform, v, R)
     u0 = integral(d, power=2)  # u(0) = int v^2
     vhat0 = integral(d)
 
@@ -344,7 +343,7 @@ def autocorrelation_potential(
 
         def overlap(r: float) -> float:
             # both factors vanish outside y in [-R, R - r]; kinks where
-            # either |y| or |r + y| crosses 0 or a breakpoint of v
+            # either |y| or |r + y| crosses 0 or a knot of v
             cands = [-r, 0.0]
             for b in bp:
                 cands += [b, -b, b - r, -b - r]
@@ -363,7 +362,7 @@ def autocorrelation_potential(
                 inner = _quad(lambda t: t * v(t), lo, hi, "overlap inner", points=_clip_points(bp, lo, hi))
                 return s * v(s) * inner
 
-            # outer kinks: v-breakpoints, plus s where an inner bound crosses one
+            # outer kinks: knots of v, plus s where an inner bound crosses one
             cands = list(bp)
             for b in bp + [R]:
                 cands += [abs(r - b), r + b, b - r]
@@ -727,5 +726,5 @@ def load_potential(path) -> PairPotential:
             eta = float(spec["eta"]) if "eta" in spec else math.inf
             return tabulated_potential(r, vals, d, eta)
         profile = _PiecewiseLinear.from_samples(r, vals)
-        return autocorrelation_potential(profile, float(r[-1]), d, breakpoints=r[1:-1])
+        return autocorrelation_potential(profile, float(r[-1]), d)
     raise ValueError(f"{path}: kind must be gaussian, tabulated, or autocorrelation, got {kind!r}")

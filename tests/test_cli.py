@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from bosecycles import cli
 from bosecycles.cli import DRAWS_MAX, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, N_LIST_MAX, NUM_MAX, TRIALS_MAX, main
 from bosecycles.coupling import CouplingParams, coupling_gain_rate
 from bosecycles.cycle_engine import (
+    _BRUTE_FORCE_N_MAX,
     N_MAX,
     SystemParams,
     WeightSequence,
@@ -436,6 +438,14 @@ class TestWavefn:
         val = psi_shifted(CycleWaveParams(n=2, L=1.5, lam=0.8, y=(0.2,)), (0.2,))
         assert float(parts[1]) == val.real  # repr round trip
 
+    def test_long_shifted_cycle(self, outdir):
+        # the shifted theta alone underflows here; the profile's rows stay finite
+        argv = ["wavefn", "--n", "5000", "--L", "1", "--lam", "1", "--y", "0.5", "--xbar", "1.885"]
+        assert main(argv) == EXIT_OK
+        _, _, rows = read_csv(outdir / "wavefn.csv")
+        assert len(rows) == 257
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
     def test_missing_center(self, outdir):
         assert main(["wavefn", "--n", "4", "--L", "2"]) == EXIT_USAGE
 
@@ -759,6 +769,14 @@ class TestWorkSizeCaps:
     def test_trials_above_cap_refused(self, outdir, capsys):
         assert main(["oracle", "--max-n", "3", "--trials", str(TRIALS_MAX + 1)]) == EXIT_USAGE
         assert f"--trials is capped at {TRIALS_MAX}" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+    def test_max_n_above_brute_force_cap_refused(self, outdir, capsys, monkeypatch):
+        solved = []
+        monkeypatch.setattr(cli, "build_partition_table", lambda *a: solved.append(a))
+        assert main(["oracle", "--max-n", str(_BRUTE_FORCE_N_MAX + 1), "--trials", "1"]) == EXIT_USAGE
+        assert f"--max-n must lie in 1..{_BRUTE_FORCE_N_MAX}" in capsys.readouterr().err
+        assert solved == []
         assert list(outdir.iterdir()) == []
 
     def test_n_list_length_above_cap_refused(self, outdir, capsys):

@@ -680,6 +680,50 @@ def _profile_transform(r, v, d, k):
     return _segment_quad(fine_r, fine_v, lambda s, u: 2 / mp.mpf(k) * s * u * mp.sin(w * s))
 
 
+def _profile_overlap(r, v, d, x):
+    """u(x) at x > 0 of the autocorrelation of the piecewise-linear profile,
+    by mpmath: d = 1 over y with pieces cut where |y| or |x + y| crosses a
+    knot; d = 3 in bipolar form (2 pi/x) int s v(s) int t v(t) dt ds with the
+    inner integral in closed form per segment and the outer pieces cut
+    where s, |x - s| or x + s crosses a knot."""
+    knots = [mp.mpf(a) for a in r]
+    vals = [mp.mpf(b) for b in v]
+    R, x = knots[-1], mp.mpf(x)
+
+    def prof(s):
+        s = abs(s)
+        if s >= R:
+            return mp.mpf(0)
+        i = max(j for j in range(len(knots) - 1) if knots[j] <= s)
+        return vals[i] + (vals[i + 1] - vals[i]) * (s - knots[i]) / (knots[i + 1] - knots[i])
+
+    def cut(points, lo, hi):
+        return sorted({lo, hi} | {p for p in points if lo < p < hi})
+
+    if d == 1:
+        points = [c for b in knots for c in (b, -b, b - x, -b - x)]
+        return mp.quad(lambda y: prof(y) * prof(x + y), cut(points, -R, R - x), method="gauss-legendre")
+
+    def moment(t):
+        # int_0^t s v(s) ds: on a segment v = c0 + c1 s, so s v integrates to c0 s^2/2 + c1 s^3/3
+        total = mp.mpf(0)
+        for a, b, va, vb in zip(knots[:-1], knots[1:], vals[:-1], vals[1:]):
+            if a >= t:
+                break
+            c1 = (vb - va) / (b - a)
+            c0 = va - c1 * a
+            top = min(b, t)
+            total += c0 * (top**2 - a**2) / 2 + c1 * (top**3 - a**3) / 3
+        return total
+
+    def outer(s):
+        lo, hi = abs(x - s), min(x + s, R)
+        return s * prof(s) * (moment(hi) - moment(lo)) if lo < hi else mp.mpf(0)
+
+    points = [c for b in knots for c in (b, x + b, abs(x - b))]
+    return 2 * mp.pi / x * mp.quad(outer, cut(points, mp.mpf(0), R), method="gauss-legendre")
+
+
 _PROFILES = {
     "exponential": (np.linspace(0.0, 2.0, 21), np.exp(-3.0 * np.linspace(0.0, 2.0, 21))),
     "hat": (np.array([0.0, 1.3]), np.array([1.0, 0.0])),
@@ -725,6 +769,18 @@ class TestSegmentIntegrals:
             for k in np.array([0.37, 3.1, 8.0]) / r[-1]:
                 want = float(_profile_transform(r, v, d, float(k)) ** 2)
                 assert abs(float(p.uhat(float(k))) - want) <= 1e-13 * p.uhat0
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_autocorrelation_file_overlap_against_mpmath(self, tmp_path, d):
+        # u(r) > 0 is a quadrature cut at the profile's interior knots, read from the profile itself
+        r, v = _PROFILES["exponential"]
+        lines = ["r,value"] + [f"{float(a)!r},{float(b)!r}" for a, b in zip(r, v)]
+        (tmp_path / "prof.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "pot.txt").write_text(f"kind = autocorrelation\nprofile = prof.csv\nd = {d}\n")
+        p = load_potential(tmp_path / "pot.txt")
+        with mp.workdps(20):
+            for x in (0.05, 0.73, 2.9):
+                assert float(p.u(x)) == pytest.approx(float(_profile_overlap(r, v, d, x)), abs=1e-10)
 
     @pytest.mark.parametrize(
         "r,v",

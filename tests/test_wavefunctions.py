@@ -199,6 +199,20 @@ class TestShifted:
         val = psi_shifted(p, (1.3,))
         assert abs(val.imag) > 1e-3
 
+    @pytest.mark.parametrize("n", [960, 10**6])
+    def test_normalization_of_long_cycles(self, n):
+        # a_num = n/2 with a momentum shift: the shifted theta alone underflows
+        p = CycleWaveParams(n=n, L=1.0, lam=1.0, y=(0.5,), xbar=(3.1,))
+        rows = wave_profile(p, num=2048)
+        assert abs(sum(a2 for *_, a2 in rows) / 2048 - 1.0) <= 1e-12
+
+    def test_long_cycle_is_product_of_factors(self):
+        y, xbar, x = (0.5, 0.2, 0.7), (3.1, 1.885, -2.0), (0.1, 0.9, 0.4)
+        val = psi_shifted(CycleWaveParams(n=10**6, L=1.0, lam=1.0, y=y, xbar=xbar), x)
+        parts = [psi_shifted(CycleWaveParams(n=10**6, L=1.0, lam=1.0, y=(y[c],), xbar=(xbar[c],)), (x[c],)) for c in range(3)]
+        assert math.isfinite(abs(val))
+        assert abs(val - parts[0] * parts[1] * parts[2]) <= 1e-14
+
 
 class TestMonotoneLocalization:
     def test_flattening_with_cycle_length(self):
@@ -226,6 +240,27 @@ class TestProfileExport:
         for t, re, im, a2 in wave_profile(p, axis=1, num=9):
             val = psi_shifted(p, (0.5, 0.1 + t))
             assert (re, im, a2) == (val.real, val.imag, abs(val) ** 2)
+
+    @pytest.mark.parametrize(
+        "n,y,xbar",
+        [
+            (1, (0.3,), (0.0,)),  # a_num = 1/8, zero shift
+            (40, (0.5, 0.1), (0.3, 0.7)),  # a_num = 5
+            (3, (0.5, 0.1, 1.9), (0.0, 0.7, -1.2)),  # a_num = 3/8
+            (40, (0.5, 0.1, 1.9), (0.0, 0.0, 0.0)),  # a_num = 5, zero shift
+        ],
+    )
+    def test_rows_match_psi_shifted_across_chunks(self, n, y, xbar):
+        # 4100 samples cross the first chunk boundary of the batched evaluation
+        p = CycleWaveParams(n=n, L=2.0, lam=1.0, y=y, xbar=xbar)
+        axis = len(y) - 1
+        rows = wave_profile(p, axis=axis, num=4100)
+        assert len(rows) == 4100
+        scale = max(math.sqrt(a2) for *_, a2 in rows)
+        for t, re, im, _ in rows:
+            x = list(y)
+            x[axis] += t
+            assert abs(complex(re, im) - psi_shifted(p, x)) <= 1e-15 * scale
 
     def test_axis_validation(self):
         p = CycleWaveParams(n=2, L=1.5, lam=0.8, y=(0.2,))

@@ -5,11 +5,11 @@
     python3 tools/bench_recursion.py --mode cli-cold --before ../parent --after . -o BENCH_cli.json
 
 ``--before`` and ``--after`` are source checkouts (each with ``src/`` and
-``perfbench/``).  Each checkout is measured in a fresh process that
-imports its ``src/``.  Before any timing, ``python -m compileall -q``
-writes current byte-code caches for both ``src/`` trees: with
-PYTHONDONTWRITEBYTECODE set, an import never refreshes a stale cache, so
-every cold import would compile the edited modules again.
+``perfbench/``).  Each row is measured in a fresh process per checkout
+that imports that checkout's ``src/``.  Before any timing, ``python -m
+compileall -q`` writes current byte-code caches for both ``src/`` trees:
+with PYTHONDONTWRITEBYTECODE set, an import never refreshes a stale
+cache, so every cold import would compile the edited modules again.
 
 ``--mode recursion`` (the default), for each N of the ladder and each
 rho*lambda^3 (below and above the d = 3 transition), records:
@@ -22,12 +22,14 @@ rho*lambda^3 (below and above the d = 3 transition), records:
 - sum_n rho_n / rho - 1 of ``cycle_density_spectrum``, summed with fsum.
 
 ``--mode sampling``, for each (N, draws) job at rho*lambda^3 = 2 zeta(3/2),
-draws the cycle types from one seeded Generator and records the wall
-time per draw (and of the first, cold, draw) and the MB of numpy arrays
-the table holds before and after its draws.  The after checkout also
-draws once at ``N_MAX``; the before side skips that row, because the
-cumulative-table sampler held 3.3 GB after one draw there.  Each job
-counts the draws that are identical on both sides.
+the last one a single draw at ``N_MAX``, draws the cycle types from one
+seeded Generator and records the wall time per draw (and of the first,
+cold, draw) and the MB of numpy arrays the table holds before and after
+its draws.  Each job counts the draws that are identical on both sides.
+
+In these two modes the checkouts alternate row by row: each row runs
+once per checkout, the one that goes first flipping from row to row, so
+that a drift in the machine's speed falls on both sides alike.
 
 ``--mode cli-cold`` runs each argv of ``CLI_ARGVS`` (one per kind of op
 in the benchmark's ``cli-cold`` round, sized as there) as a fresh
@@ -63,7 +65,8 @@ LADDER = (4096, 8192, 16000, 32000, 64000, 100000)
 ZETA_3_2 = 2.6123753486854883
 DEGENERACIES = {"below": 0.7 * ZETA_3_2, "above": 2.0 * ZETA_3_2}
 LONGDOUBLE_N_MAX = 16000  # the long-double reference takes ~15 s at 16000, ~90 s at 32000
-SAMPLING_JOBS = ((2048, 40), (4096, 100), (16000, 20))  # (N, draws)
+RECURSION_ROWS = tuple((N, side) for N in LADDER for side in DEGENERACIES)
+SAMPLING_JOBS = ((2048, 40), (4096, 100), (16000, 20), (100_000, 1))  # (N, draws); the last N is N_MAX
 SAMPLING_SEED = 2011
 LAYER = "cycle_engine.build_partition_table"
 DRAW = "cycle_engine.sample_cycle_type"
@@ -102,9 +105,10 @@ TRACED = {
 }
 UNTRACED = {"cli-cold": ["ops_per_s", "op_p50_s", "op_p90_s", "setup_s", "peak_rss_mb", "pass_rate"]}
 WHAT = {
-    "recursion": "build_partition_table on ideal d = 3 torus weights, before and after, same machine and arguments",
-    "sampling": "sample_cycle_type on ideal d = 3 torus weights at rho*lambda^3 = 2 zeta(3/2), before and after, "
+    "recursion": "build_partition_table on ideal d = 3 torus weights, before and after alternating row by row, "
     "same machine and arguments",
+    "sampling": "sample_cycle_type on ideal d = 3 torus weights at rho*lambda^3 = 2 zeta(3/2), before and after "
+    "alternating row by row, same machine and arguments",
     "cli-cold": f"median wall time of {CLI_REPS} fresh `python -m bosecycles` runs per cli-cold argv and output "
     "format, before and after alternating run by run, same machine and arguments",
 }
@@ -125,34 +129,28 @@ def rel_err(logQ, ref) -> float:
     return float(np.max(np.abs(logQ - ref) / np.maximum(1.0, np.abs(ref))))
 
 
-def measure_recursion() -> list[dict]:
-    import bosecycles as bc
-
-    rows = []
-    for N in LADDER:
-        for side, rho_lam3 in DEGENERACIES.items():
-            params = bc.SystemParams.from_degeneracy(3, N, rho_lam3, 1.0)
-            weights = bc.WeightSequence.ideal(params)
-            walls = []
-            for _ in range(3 if N < 20000 else 1):
-                start = time.perf_counter()
-                table = bc.build_partition_table(params, weights)
-                walls.append(time.perf_counter() - start)
-            spectrum = bc.cycle_density_spectrum(table)
-            row = {
-                "N": N,
-                "side": side,
-                "rho_lambda3": rho_lam3,
-                "build_s": min(walls),
-                "logQ_rel_err_vs_exact_loop": rel_err(table.logQ, exact_log_q(weights.log_w, N)),
-                "norm_residual": math.fsum(spectrum.rho_n) / spectrum.rho - 1.0,
-            }
-            if N <= LONGDOUBLE_N_MAX:
-                ref = exact_log_q(weights.log_w, N, np.longdouble)
-                row["logQ_rel_err_vs_longdouble"] = rel_err(table.logQ, ref)
-            rows.append(row)
-            print(json.dumps(rows[-1]), file=sys.stderr, flush=True)
-    return rows
+def recursion_row(bc, N: int, side: str) -> dict:
+    rho_lam3 = DEGENERACIES[side]
+    params = bc.SystemParams.from_degeneracy(3, N, rho_lam3, 1.0)
+    weights = bc.WeightSequence.ideal(params)
+    walls = []
+    for _ in range(3 if N < 20000 else 1):
+        start = time.perf_counter()
+        table = bc.build_partition_table(params, weights)
+        walls.append(time.perf_counter() - start)
+    spectrum = bc.cycle_density_spectrum(table)
+    row = {
+        "N": N,
+        "side": side,
+        "rho_lambda3": rho_lam3,
+        "build_s": min(walls),
+        "logQ_rel_err_vs_exact_loop": rel_err(table.logQ, exact_log_q(weights.log_w, N)),
+        "norm_residual": math.fsum(spectrum.rho_n) / spectrum.rho - 1.0,
+    }
+    if N <= LONGDOUBLE_N_MAX:
+        ref = exact_log_q(weights.log_w, N, np.longdouble)
+        row["logQ_rel_err_vs_longdouble"] = rel_err(table.logQ, ref)
+    return row
 
 
 def sampling_row(bc, N: int, draws: int) -> dict:
@@ -179,14 +177,27 @@ def sampling_row(bc, N: int, draws: int) -> dict:
     }
 
 
-def measure_sampling(cap: bool) -> list[dict]:
+def measure_row(mode: str, index: int) -> dict:
+    """Row ``index`` of the recursion or sampling mode, measured on the importable bosecycles."""
     import bosecycles as bc
 
-    jobs = SAMPLING_JOBS + (((bc.cycle_engine.N_MAX, 1),) if cap else ())
-    rows = []
-    for N, draws in jobs:
-        rows.append(sampling_row(bc, N, draws))
-        print(json.dumps({k: v for k, v in rows[-1].items() if k != "digests"}), file=sys.stderr, flush=True)
+    return recursion_row(bc, *RECURSION_ROWS[index]) if mode == "recursion" else sampling_row(bc, *SAMPLING_JOBS[index])
+
+
+def measure_rows(trees: dict[str, Path], mode: str) -> dict[str, list[dict]]:
+    """The recursion or sampling rows, per checkout: one fresh process per
+    row and checkout, the checkout that goes first flipping row by row."""
+    rows: dict[str, list[dict]] = {side: [] for side in trees}
+    here = Path(__file__).resolve()
+    for index in range(len(RECURSION_ROWS if mode == "recursion" else SAMPLING_JOBS)):
+        for side in list(trees)[:: 1 if index % 2 == 0 else -1]:
+            tree = trees[side]
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree / "perfbench")]))
+            argv = [sys.executable, str(here), "--mode", mode, "--measure", str(index)]
+            proc = subprocess.run(argv, env=env, check=True, stdout=subprocess.PIPE, text=True)
+            rows[side].append(json.loads(proc.stdout))
+            print(side, json.dumps({k: v for k, v in rows[side][-1].items() if k != "digests"}),
+                  file=sys.stderr, flush=True)
     return rows
 
 
@@ -224,14 +235,8 @@ def measure_cli(trees: dict[str, Path]) -> dict[str, list[dict]]:
     }
 
 
-def run_tree(tree: Path, mode: str, seed: int, cap: bool = False, rows: list | None = None) -> dict:
-    """The rows of one checkout (measured here unless given) and its perfbench metrics."""
-    if rows is None:
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree / "perfbench")]))
-        here = Path(__file__).resolve()
-        argv = [sys.executable, str(here), "--mode", mode, "--measure"] + (["--cap"] if cap else [])
-        proc = subprocess.run(argv, env=env, check=True, stdout=subprocess.PIPE, text=True)
-        rows = json.loads(proc.stdout)
+def run_tree(tree: Path, mode: str, seed: int, rows: list) -> dict:
+    """The rows of one checkout and its perfbench metrics."""
     result = {"rows": rows}
     for trace, kept in (("1", TRACED), ("0", UNTRACED)):
         if mode not in kept:
@@ -249,34 +254,32 @@ def count_identical(before: dict, after: dict) -> None:
     earlier = {(row["N"], row["draws"]): row.pop("digests") for row in before["rows"]}
     for row in after["rows"]:
         digests = row.pop("digests")
-        if (row["N"], row["draws"]) in earlier:
-            row["identical_draws"] = sum(a == b for a, b in zip(earlier[row["N"], row["draws"]], digests))
+        row["identical_draws"] = sum(a == b for a, b in zip(earlier[row["N"], row["draws"]], digests))
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--mode", choices=tuple(TRACED), default="recursion")
-    parser.add_argument("--measure", action="store_true",
-                        help="recursion and sampling modes: measure the importable bosecycles only")
-    parser.add_argument("--cap", action="store_true", help="with --measure in sampling mode, draw once at N_MAX")
+    parser.add_argument("--measure", type=int, metavar="ROW",
+                        help="recursion and sampling modes: measure one row on the importable bosecycles only")
     parser.add_argument("--before", type=Path)
     parser.add_argument("--after", type=Path)
     parser.add_argument("--seed", type=int, default=601, help="seed of the traced perfbench runs")
     parser.add_argument("-o", "--output", type=Path, help="output file (default BENCH_<mode>.json)")
     args = parser.parse_args()
-    if args.measure and args.mode == "cli-cold":
+    if args.measure is not None and args.mode == "cli-cold":
         parser.error("--measure applies to the recursion and sampling modes only")
-    if args.measure:
-        print(json.dumps(measure_recursion() if args.mode == "recursion" else measure_sampling(args.cap)))
+    if args.measure is not None:
+        print(json.dumps(measure_row(args.mode, args.measure)))
         return
     if args.before is None or args.after is None:
         parser.error("--before and --after are required")
     trees = {"before": args.before.resolve(), "after": args.after.resolve()}
     for tree in trees.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree / "src")], check=True)
-    rows = measure_cli(trees) if args.mode == "cli-cold" else {}
-    before = run_tree(trees["before"], args.mode, args.seed, rows=rows.get("before"))
-    after = run_tree(trees["after"], args.mode, args.seed, cap=args.mode == "sampling", rows=rows.get("after"))
+    rows = measure_cli(trees) if args.mode == "cli-cold" else measure_rows(trees, args.mode)
+    before = run_tree(trees["before"], args.mode, args.seed, rows["before"])
+    after = run_tree(trees["after"], args.mode, args.seed, rows["after"])
     if args.mode == "sampling":
         count_identical(before, after)
     result = {

@@ -76,6 +76,10 @@ RUNS = {
     "merger-1": ["merger", "--vertices", "1"],  # zero pairs
     "merger-2-m1": ["merger", "--vertices", "2", "--max-multiplicity", "1"],
     "wavefn-xbar": ["wavefn", "--n", "3", "--L", "2", "--y", "0.5,0.1", "--xbar", "0,0.7", "--num", "16"],
+    # a_num = 5: the direct theta form, shifted in all three coordinates
+    "wavefn-direct": ["wavefn", "--n", "40", "--L", "2", "--y", "0.5,0.1,0.3", "--xbar", "0.3,0.7,1.1", "--num", "64"],
+    # a_num = 2500 with a momentum shift: the shifted theta alone underflows
+    "wavefn-long": ["wavefn", "--n", "5000", "--L", "1", "--y", "0.5", "--xbar", "1.885", "--num", "16"],
 }
 FORMATS = ("csv", "json")
 
