@@ -4,8 +4,9 @@ For a stable, integrable, positive-type pair potential the free energy
 density is sandwiched between two explicit quadratics in rho around the
 ideal value, and the decoupled-cycle partition function is sandwiched
 between two runs of the ideal recursion with rescaled weights q_n c^n.
-This script builds a Gaussian potential and a tabulated copy of it,
-validates the required conditions, and walks both sandwiches.
+This script builds a Gaussian potential, a tabulated copy of it and the
+autocorrelation of a sampled hat profile, validates the required
+conditions, and walks both sandwiches.
 
 Run with:  python3 demos/03_interaction_bounds.py
 """
@@ -15,6 +16,7 @@ import numpy as np
 from bosecycles import (
     SystemParams,
     WeightSequence,
+    autocorrelation_potential,
     build_partition_table,
     dcp_bound_weights,
     dcp_partition_sandwich,
@@ -50,11 +52,24 @@ tab = tabulated_potential(r, pot.u(r), d=3)
 print(f"\ntabulated copy on 81 points: uhat(0) = {tab.uhat0:.6f} "
       f"(defect {abs(tab.uhat0 - pot.uhat0):.2e})")
 
+r_hat = np.linspace(0.0, 1.0, 5)
+hat = autocorrelation_potential(r_hat, 1.0 - r_hat, d=3)
+hat_report = validate_conditions(hat)
+print("\nautocorrelation u = v * v of the hat v(r) = 1 - r sampled at 5 radii:")
+print(f"  u(0) = {hat.u0:.6f}, u(1) = {float(hat.u(1.0)):.6f}, u(2) = {float(hat.u(2.0))}")
+print(f"  uhat(0) = |u|_1 = {hat.uhat0:.6f}")
+print(f"  u on 128 radii up to 10 : min {hat_report.min_u:.3e}, nonnegative {hat_report.nonnegative_u}")
+print(f"  uhat on 128 wavenumbers : min {hat_report.min_uhat:.3e}, positive type {hat_report.positive_type}")
+print(f"  all three conditions    : {hat_report.all_pass}")
+
 print("""
 Reading: the Gaussian is its own Fourier transform up to scale, so it is
 positive type and all three conditions hold.  A tabulated potential goes
 through the same numeric transform machinery and lands within quadrature
-accuracy of the closed form.
+accuracy of the closed form.  The autocorrelation of a nonnegative
+profile is nonnegative with uhat = |vhat|^2 >= 0 by construction, and
+vanishes from twice the profile's range on; its u(r) is an exact sum
+over the pieces where the two shifted profiles overlap.
 """)
 
 print("=" * 72)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -46,13 +45,14 @@ __all__ = [
     "validate_conditions",
 ]
 
-_QUAD_REL_TOL = 1e-10
 _PERIODIZE_REL_TOL = 1e-10
 _PERIODIZE_MAX_SHELL = 10_000
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # Gauss-Legendre nodes per profile segment for the polynomial integrands
-# (degree <= 4, s^2 v^2); 4 nodes are exact to degree 7
+# (degree <= 4 for s^2 v^2, <= 5 for the overlap); 4 nodes are exact to degree 7
 _POLY_NODES = 4
+# overlap pieces evaluated at once, bounding its memory for long arrays of radii
+_OVERLAP_PIECES = 1 << 16
 # bound on a segment rule's error for the sine and cosine transforms,
 # relative to the segment's share of the integral's scale; a segment
 # spanning more than _PIECE_RADIANS of the wave is cut into equal pieces,
@@ -68,20 +68,8 @@ class UnsupportedPotentialError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
-def _quad(fn, a: float, b: float, what: str, **kw) -> float:
-    from scipy.integrate import IntegrationWarning, quad  # deferred: only quadrature of callables needs scipy
-
-    # the residual check below is the acceptance policy; scipy's advisory
-    # roundoff warning duplicates it
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(fn, a, b, epsabs=1e-15, epsrel=_QUAD_REL_TOL, limit=400, **kw)
-    if err > max(1e-10 * abs(val), 1e-12):
-        raise QuadratureError(f"{what}: residual estimate {err:.3e} for value {val:.6e}")
-    return val
+    """A profile transform would need more nodes than allowed, or a
+    periodization sum did not converge."""
 
 
 def _radialize(fn: Callable[[float], float]):
@@ -201,12 +189,6 @@ def _radial_kernel(d: int, k: float):
     return 2.0 / k, lambda s, f: s * f * np.sin(w * s)
 
 
-def _radial_transform(v: Callable, R: float, d: int, k: float = 0.0, power: int = 1, points=None) -> float:
-    # int v(|x|)^power e^{-2 pi i k.x} d^d x for radial v supported in |x| <= R
-    c, g = _radial_kernel(d, k)
-    return c * _quad(lambda s: g(s, v(s) ** power), 0.0, R, "radial transform", points=points)
-
-
 @functools.lru_cache(maxsize=None)  # n <= 31 at 50 radians a piece, so few rules are held
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     from numpy.polynomial.legendre import leggauss  # deferred: only profiles need it
@@ -232,8 +214,9 @@ def _oscillatory_nodes(theta: float) -> int:
 
 class _PiecewiseLinear:
     """Radial profile, linear between knots 0 = r_0 < r_1 < ... < r_m and zero
-    beyond r_m, evaluated at a radius or an array of radii.  Its one
-    integral, ``transform(d, k, power)``, is a per-segment Gauss-Legendre sum.
+    beyond r_m, evaluated at a radius or an array of radii.  Its integrals,
+    ``transform(d, k, power)`` and the autocorrelation ``overlap(d, x)``, are
+    per-segment Gauss-Legendre sums.
 
     At k = 0 the integrands (volume integrals of v and v^2) are polynomials
     of degree <= 4 and the sums are exact to rounding.  For k != 0 the node
@@ -301,86 +284,83 @@ class _PiecewiseLinear:
         c, g = _radial_kernel(d, k)
         return c * float(np.dot(w, g(s, v**power)))
 
+    def overlap(self, d: int, x):
+        """The autocorrelation u(x) = int v(|y|) v(|x - y|) d^d y in d = 1 or 3,
+        at a radius or an array of radii; u(0) = transform(d, power=2), and u
+        vanishes from x = 2R on (R = r_m).
 
-def _clip_points(candidates, lo: float, hi: float):
-    pts = sorted({p for p in candidates if lo < p < hi})
-    return pts or None
+        Each radius is a Gauss-Legendre sum over the pieces between the
+        points where a factor crosses a knot.  d = 1 integrates
+        v(|y|) v(|x + y|) over [-R, R - x], cut at +-r_i and +-r_i - x.  d = 3
+        is the bipolar form (2 pi/x) int_0^R s v(s) [G(x + s) - G(|x - s|)] ds
+        with G(t) = int_0^t tau v(tau) dtau, constant past R, cut at r_i,
+        r_i +- x, x - r_i and x.  The integrands are polynomials of degree
+        <= 5 on every piece, so _POLY_NODES nodes are exact: within 1e-13 u0
+        of mpmath from x = 1e-3 R on.  Below that, in d = 3, the difference of
+        G values costs up to about R/x ulps of u0."""
+        x = np.abs(np.asarray(x, dtype=float))
+        r, v, R = self.r, self.values, float(self.r[-1])
+        flat = x.ravel()
+        out = np.where(np.isnan(flat), np.nan, 0.0)
+        out[flat == 0.0] = self.transform(d, power=2)
+        inside = np.flatnonzero((flat > 0.0) & (flat < 2.0 * R))
+        # G(t) = G(r_j) + r_j v_j dt + (r_j c_j + v_j) dt^2/2 + c_j dt^3/3 on segment j,
+        # in dt = t - r_j (so no term cancels) with c_j the segment's slope
+        h = np.diff(r)
+        slope = np.diff(v) / h
+        g1, g2, g3 = r[:-1] * v[:-1], (r[:-1] * slope + v[:-1]) / 2.0, slope / 3.0
+        knot_G = np.concatenate(([0.0], np.cumsum(h * (g1 + h * (g2 + h * g3)))))
+
+        def G(t):
+            j = np.minimum(np.searchsorted(r, t, side="right") - 1, len(h) - 1)
+            dt = np.minimum(t, R) - r[j]
+            return knot_G[j] + dt * (g1[j] + dt * (g2[j] + dt * g3[j]))
+
+        nodes, weights = _legendre_rule(_POLY_NODES)
+        rows = max(1, _OVERLAP_PIECES // (4 * len(r) + 1))
+        for idx in np.array_split(inside, range(rows, inside.size, rows)):
+            xs = flat[idx, None]
+            knots = np.broadcast_to(r, (idx.size, r.size))
+            if d == 1:
+                cuts = np.clip(np.hstack([-knots, knots, -r - xs, r - xs]), -R, R - xs)
+            else:
+                cuts = np.clip(np.hstack([knots, r - xs, r + xs, xs - r, xs]), 0.0, R)
+            cuts = np.sort(cuts, axis=1)[:, :, None]
+            half = (cuts[:, 1:] - cuts[:, :-1]) / 2.0
+            y = cuts[:, :-1] + half * (1.0 + nodes)
+            xs = xs[:, :, None]
+            if d == 1:
+                scale, f = 1.0, self(y) * self(xs + y)
+            else:
+                scale, f = 2.0 * math.pi / flat[idx], y * self(y) * (G(xs + y) - G(np.abs(xs - y)))
+            out[idx] = scale * np.sum(half * weights * f, axis=(1, 2))
+        return out.reshape(x.shape)[()]
 
 
-def autocorrelation_potential(v: Callable, v_support: float, d: int = 3) -> PairPotential:
-    """u = v * v for a nonnegative radial profile v vanishing beyond
-    ``v_support``: u(x) = int v(|x+y|) v(|y|) dy, so uhat = |vhat|^2 >= 0
-    by construction.  Supported in d = 1 and d = 3 (the radial reduction
-    of the overlap integral is dimension-specific).  The interior knots of
-    a profile read from a file, where it is not smooth, guide the overlap
-    quadrature; a Python callable is taken as smooth.
+def autocorrelation_potential(r: np.ndarray, values: np.ndarray, d: int = 3) -> PairPotential:
+    """u = v * v for a nonnegative radial profile v sampled at radii r, linear
+    between the samples and zero beyond the last (the profile of
+    ``tabulated_potential``): u(x) = int v(|x+y|) v(|y|) dy, so
+    uhat = |vhat|^2 >= 0 by construction.  Supported in d = 1 and d = 3 (the
+    radial reduction of the overlap integral is dimension-specific).
 
-    vhat(k), uhat(0) = vhat(0)^2 and u0 = int v^2 come from one integral of
-    the profile: segment sums for a profile read from a file (exact at
-    k = 0), adaptive quadrature for a Python callable.  u(0) is that u0;
-    u(r) at r > 0 is an overlap quadrature, nested in d = 3."""
+    vhat(k), uhat(0) = vhat(0)^2 and u0 = u(0) = int v^2 are segment sums of
+    the profile (exact at k = 0), and u(x) is its segment overlap, exact to
+    rounding (see ``_PiecewiseLinear``)."""
+    profile = _PiecewiseLinear.from_samples(r, values)
     if d not in (1, 3):
         raise UnsupportedDimensionError(
             f"autocorrelation construction implemented for d in (1, 3), got {d}"
         )
-    if not v_support > 0.0:
-        raise ValueError(f"support radius must be positive, got {v_support}")
-    R = float(v_support)
-    bp = v.r[1:-1].tolist() if isinstance(v, _PiecewiseLinear) else []
-    # the knots are probed too: a piecewise-linear v is then checked at every one
-    probe = np.union1d(np.linspace(0.0, R, 257), [b for b in bp if 0.0 <= b <= R])
-    if min(v(float(s)) for s in probe) < 0.0:
+    # v is linear between samples, so it is nonnegative where its samples are
+    if not np.all(profile.values >= 0.0):
         raise ValueError("profile v must be nonnegative on its support")
-
-    if isinstance(v, _PiecewiseLinear):
-        integral = v.transform
-    else:
-        integral = functools.partial(_radial_transform, v, R)
-    u0 = integral(d, power=2)  # u(0) = int v^2
-    vhat0 = integral(d)
-
-    if d == 1:
-
-        def overlap(r: float) -> float:
-            # both factors vanish outside y in [-R, R - r]; kinks where
-            # either |y| or |r + y| crosses 0 or a knot of v
-            cands = [-r, 0.0]
-            for b in bp:
-                cands += [b, -b, b - r, -b - r]
-            return _quad(
-                lambda y: v(abs(y)) * v(abs(r + y)), -R, R - r, "overlap integral",
-                points=_clip_points(cands, -R, R - r),
-            )
-
-    else:
-
-        def overlap(r: float) -> float:
-            def outer(s: float) -> float:
-                lo, hi = abs(r - s), min(r + s, R)
-                if lo >= hi:
-                    return 0.0
-                inner = _quad(lambda t: t * v(t), lo, hi, "overlap inner", points=_clip_points(bp, lo, hi))
-                return s * v(s) * inner
-
-            # outer kinks: knots of v, plus s where an inner bound crosses one
-            cands = list(bp)
-            for b in bp + [R]:
-                cands += [abs(r - b), r + b, b - r]
-            return (2.0 * math.pi / r) * _quad(
-                outer, 0.0, R, "overlap outer", points=_clip_points(cands, 0.0, R)
-            )
-
-    def u_scalar(r: float) -> float:
-        if r >= 2.0 * R:
-            return 0.0
-        return u0 if r == 0.0 else overlap(r)
-
-    u = _radialize(u_scalar)
-    uhat = _radialize(lambda k: integral(d, k) ** 2)
+    u0 = profile.transform(d, power=2)  # u(0) = int v^2
+    vhat0 = profile.transform(d)
     return PairPotential(
         d=d,
-        u=u,
-        uhat=uhat,
+        u=functools.partial(profile.overlap, d),
+        uhat=_radialize(lambda k: profile.transform(d, k) ** 2),
         u0=u0,
         uhat0=vhat0**2,
         norm1=vhat0**2,  # int u = (int v)^2, and u >= 0
@@ -452,11 +432,14 @@ def periodize(pot: PairPotential, L: float, x) -> float:
     raise QuadratureError(f"periodization did not converge within {_PERIODIZE_MAX_SHELL} shells")
 
 
-def alpha_nk(n: int, k: int, lam: float) -> float:
+def alpha_nk(n: int, k, lam: float):
     """alpha_{n,k} = (1/k + 1/(n-k))/lambda^2, the inverse-area scale of
-    the two arcs a k-split cuts an n-cycle into."""
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"split index k must lie in 1..{n - 1}, got {k}")
+    the two arcs a k-split cuts an n-cycle into; k is an integer or an
+    integer array, and every entry must lie in 1..n-1."""
+    k_arr = np.asarray(k)
+    outside = ~((k_arr >= 1) & (k_arr <= n - 1))
+    if np.any(outside):
+        raise ValueError(f"split index k must lie in 1..{n - 1}, got {k_arr[outside].flat[0]}")
     if not lam > 0.0:
         raise ValueError(f"thermal wavelength must be positive, got {lam}")
     return (1.0 / k + 1.0 / (n - k)) / lam**2
@@ -490,8 +473,7 @@ def mean_interaction_upper(n: int, L: float, beta: float, pot: PairPotential) ->
     lam = thermal_wavelength(beta)
     half_norm = 0.5 * pot.norm1
     asymptotic = half_norm * n * ((n - 1) / L**d + 2.0 * kappa / lam**d)
-    k = np.arange(1, n)
-    alpha = (1.0 / k + 1.0 / (n - k)) / lam**2
+    alpha = alpha_nk(n, np.arange(1, n), lam)
     exact = half_norm * n * float(np.sum(alpha ** (d / 2.0) * (1.0 + 1.0 / (L * np.sqrt(alpha))) ** d))
     return MeanInteractionBound(float(asymptotic), exact)
 
@@ -722,9 +704,7 @@ def load_potential(path) -> PairPotential:
         if len(rows) < 2:
             raise ValueError(f"{profile_path}: profile needs at least 2 numeric rows")
         _, r, vals = np.array(rows).T
-        if kind == "tabulated":
-            eta = float(spec["eta"]) if "eta" in spec else math.inf
-            return tabulated_potential(r, vals, d, eta)
-        profile = _PiecewiseLinear.from_samples(r, vals)
-        return autocorrelation_potential(profile, float(r[-1]), d)
+        if kind == "autocorrelation":
+            return autocorrelation_potential(r, vals, d)
+        return tabulated_potential(r, vals, d, float(spec.get("eta", math.inf)))
     raise ValueError(f"{path}: kind must be gaussian, tabulated, or autocorrelation, got {kind!r}")

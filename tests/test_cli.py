@@ -664,8 +664,8 @@ class TestOutputPlumbing:
         assert "mu = " in proc.stdout
 
     def test_import_leaves_scipy_integrate_unloaded(self):
-        # scipy is imported where quadrature and special functions run, so
-        # a bare import stays numpy-only and the CLI starts fast
+        # the package runs on numpy alone, so a bare import loads no scipy
+        # and the CLI starts fast
         package_root = Path(bosecycles.__file__).resolve().parents[1]
         code = "import sys, bosecycles; print('scipy.integrate' in sys.modules)"
         proc = subprocess.run(
@@ -693,8 +693,8 @@ class TestOutputPlumbing:
              "bounds-tabulated", "bounds-autocorrelation"],
     )
     def test_run_leaves_scipy_unloaded(self, tmp_path, argv):
-        # special functions and profile integrals are numpy-only; scipy serves
-        # only quadrature of Python callables handed to the library
+        # special functions and profile integrals are numpy-only, and the
+        # package has no scipy path left
         r = np.linspace(0.0, 2.0, 21)
         rows = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(r, np.exp(-3.0 * r)))
         (tmp_path / "prof.csv").write_text("r,value\n" + rows)

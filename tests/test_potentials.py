@@ -2,11 +2,15 @@
 
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import bosecycles
 from bosecycles.cycle_engine import SystemParams, WeightSequence, build_partition_table
 from bosecycles.potentials import (
     BoundPair,
@@ -124,14 +128,14 @@ class TestAutocorrelation1d:
     def test_tent_oracle(self):
         # v = indicator of [-R, R]: u(x) = max(0, 2R - |x|)
         R = 0.7
-        t = autocorrelation_potential(lambda s: 1.0, R, d=1)
+        t = autocorrelation_potential([0.0, R], [1.0, 1.0], d=1)
         for x in (0.0, 0.3, 0.7, 1.0, 1.39):
-            assert float(t.u(x)) == pytest.approx(2 * R - x, rel=1e-12)
+            assert float(t.u(x)) == pytest.approx(2 * R - x, rel=1e-13)
         assert float(t.u(1.5)) == 0.0
 
     def test_tent_scalars(self):
         R = 0.7
-        t = autocorrelation_potential(lambda s: 1.0, R, d=1)
+        t = autocorrelation_potential([0.0, R], [1.0, 1.0], d=1)
         assert t.u0 == pytest.approx(2 * R, rel=1e-13)
         assert t.norm1 == pytest.approx((2 * R) ** 2, rel=1e-13)
         assert t.uhat0 == pytest.approx((2 * R) ** 2, rel=1e-13)
@@ -141,67 +145,49 @@ class TestAutocorrelation1d:
     def test_tent_transform(self):
         # vhat(k) = sin(2 pi k R)/(pi k) for the indicator, uhat = vhat^2
         R = 0.7
-        t = autocorrelation_potential(lambda s: 1.0, R, d=1)
+        t = autocorrelation_potential([0.0, R], [1.0, 1.0], d=1)
         for k in (0.3, 0.8, 1.7):
             expected = (math.sin(2 * math.pi * k * R) / (math.pi * k)) ** 2
-            assert float(t.uhat(k)) == pytest.approx(expected, rel=1e-10, abs=1e-14)
+            assert float(t.uhat(k)) == pytest.approx(expected, rel=1e-13, abs=1e-14)
 
     def test_transform_nonnegative_by_construction(self):
-        t = autocorrelation_potential(lambda s: 1.0, 0.7, d=1)
+        t = autocorrelation_potential([0.0, 0.7], [1.0, 1.0], d=1)
         k = np.linspace(0.0, 12.0, 200)
         assert np.all(np.asarray(t.uhat(k)) >= 0.0)
 
     def test_negative_profile_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            autocorrelation_potential(lambda s: -1.0, 1.0, d=1)
+            autocorrelation_potential([0.0, 1.0], [-1.0, -1.0], d=1)
 
 
 class TestAutocorrelation3d:
     def test_ball_lens_oracle(self):
         # overlap of two balls at distance r: pi (2R - r)^2 (4R + r) / 12
         R = 0.8
-        ball = autocorrelation_potential(lambda s: 1.0, R, d=3)
+        ball = autocorrelation_potential([0.0, R], [1.0, 1.0], d=3)
         for r in (0.0, 0.4, 0.9, 1.3):
             lens = math.pi / 12.0 * (2 * R - r) ** 2 * (4 * R + r)
-            assert float(ball.u(r)) == pytest.approx(lens, rel=1e-10)
+            assert float(ball.u(r)) == pytest.approx(lens, rel=1e-13)
         assert float(ball.u(1.7)) == 0.0
 
     def test_ball_scalars(self):
         R = 0.8
-        ball = autocorrelation_potential(lambda s: 1.0, R, d=3)
+        ball = autocorrelation_potential([0.0, R], [1.0, 1.0], d=3)
         vol = 4 * math.pi * R**3 / 3
         assert ball.u0 == pytest.approx(vol, rel=1e-12)
         assert ball.norm1 == pytest.approx(vol**2, rel=1e-12)
 
     def test_ball_form_factor(self):
         R = 0.8
-        ball = autocorrelation_potential(lambda s: 1.0, R, d=3)
+        ball = autocorrelation_potential([0.0, R], [1.0, 1.0], d=3)
         k = 0.9
         w = 2 * math.pi * k * R
         vhat = (math.sin(w) - w * math.cos(w)) / (2 * math.pi**2 * k**3)
         assert float(ball.uhat(k)) == pytest.approx(vhat**2, rel=1e-10)
 
-    def test_gaussian_convolution_identity(self):
-        # v Gaussian of width sv: u Gaussian of width sqrt(2) sv and
-        # height (int v^2) = A^2 (sv/sqrt 2)^3
-        A, sv = 1.3, 0.6
-        ref = gaussian_potential(A**2 * sv**3 / 2**1.5, math.sqrt(2) * sv, 3)
-        ac = autocorrelation_potential(
-            lambda s: A * math.exp(-math.pi * s * s / sv**2), 6.0 * sv, d=3
-        )
-        for r in (0.0, 0.25, 0.8):
-            assert float(ac.u(r)) == pytest.approx(float(ref.u(r)), rel=1e-9)
-        for k in (0.0, 0.5, 1.1):
-            assert float(ac.uhat(k)) == pytest.approx(float(ref.uhat(k)), rel=1e-9)
-        assert ac.norm1 == pytest.approx(ref.norm1, rel=1e-9)
-
     def test_dimension_validation(self):
         with pytest.raises(UnsupportedDimensionError):
-            autocorrelation_potential(lambda s: 1.0, 1.0, d=2)
-
-    def test_support_validation(self):
-        with pytest.raises(ValueError, match="support"):
-            autocorrelation_potential(lambda s: 1.0, 0.0, d=3)
+            autocorrelation_potential([0.0, 1.0], [1.0, 1.0], d=2)
 
 
 class TestTabulated:
@@ -316,6 +302,12 @@ class TestAlpha:
             alpha_nk(5, 5, 1.0)
         with pytest.raises(ValueError, match="wavelength"):
             alpha_nk(5, 2, 0.0)
+
+    def test_array_of_splits(self):
+        k = np.arange(1, 12)
+        np.testing.assert_array_equal(alpha_nk(12, k, 0.7), [alpha_nk(12, int(j), 0.7) for j in k])
+        with pytest.raises(ValueError, match="split index k must lie in 1..11, got 12"):
+            alpha_nk(12, np.array([3, 12, 5]), 0.7)
 
 
 class TestMeanInteraction:
@@ -594,8 +586,8 @@ class TestPotentialFiles:
         (tmp_path / "pot.txt").write_text("kind = autocorrelation\nprofile = prof.csv\nd = 1\n")
         p = load_potential(tmp_path / "pot.txt")
         assert p.kind == "autocorrelation"
-        assert float(p.u(0.3)) == pytest.approx(1.1, rel=1e-10)
-        assert p.u0 == pytest.approx(1.4, rel=1e-10)
+        assert float(p.u(0.3)) == pytest.approx(1.1, rel=1e-13)
+        assert p.u0 == pytest.approx(1.4, rel=1e-13)
 
     def test_missing_kind(self, tmp_path):
         fp = tmp_path / "pot.txt"
@@ -731,6 +723,17 @@ _PROFILES = {
 }
 
 
+_OVERLAP_PROFILES = {
+    "exponential": _PROFILES["exponential"],
+    "hat": _PROFILES["hat"],
+    # 31 knots at random radii in [0, 1.7] with random nonnegative values
+    "random": (
+        np.concatenate(([0.0], np.sort(np.random.default_rng(31).uniform(0.0, 1.7, 30)))),
+        np.random.default_rng(32).uniform(0.0, 2.0, 31),
+    ),
+}
+
+
 class TestSegmentIntegrals:
     """Profile integrals are per-segment Gauss-Legendre sums; mpmath.quad on
     the same knots is the oracle."""
@@ -781,6 +784,21 @@ class TestSegmentIntegrals:
         with mp.workdps(20):
             for x in (0.05, 0.73, 2.9):
                 assert float(p.u(x)) == pytest.approx(float(_profile_overlap(r, v, d, x)), abs=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("name", ["exponential", "hat", "random"])
+    def test_overlap_against_mpmath(self, name, d):
+        # the segment overlap is exact to rounding from 1e-3 R up to 2R
+        r, v = _OVERLAP_PROFILES[name]
+        p = autocorrelation_potential(r, v, d=d)
+        R = r[-1]
+        with mp.workdps(20):
+            for x in (1e-3 * R, r[len(r) // 2], R - r[len(r) // 3], R, 1.999 * R):
+                assert abs(float(p.u(x)) - float(_profile_overlap(r, v, d, x))) <= 1e-13 * p.u0
+        assert p.u(0.0) == p.u0
+        assert p.u(2 * R) == 0.0 and p.u(7.5 * R) == 0.0
+        x = np.array([[0.0, 0.3 * R, -0.3 * R], [R, 2 * R, 1.5 * R]])
+        np.testing.assert_array_equal(p.u(x), [[p.u(float(a)) for a in row] for row in x])
 
     @pytest.mark.parametrize(
         "r,v",
@@ -875,6 +893,32 @@ class TestAutocorrelationProfileFiles:
         (tmp_path / "pot.txt").write_text("kind = autocorrelation\nprofile = prof.csv\nd = 3\n")
         with pytest.raises(ValueError, match="nonnegative"):
             load_potential(tmp_path / "pot.txt")
+
+    def test_overlap_work_leaves_scipy_unloaded(self, tmp_path):
+        # u(r), periodization, the cycle bounds and the condition report of an
+        # autocorrelation file potential are numpy-only
+        r = np.linspace(0.0, 2.0, 21)
+        rows = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(r, np.exp(-3.0 * r)))
+        (tmp_path / "prof.csv").write_text("r,value\n" + rows)
+        (tmp_path / "pot.txt").write_text("kind = autocorrelation\nprofile = prof.csv\nd = 3\n")
+        code = (
+            "import sys; import numpy as np; from bosecycles import potentials as P; "
+            f"pot = P.load_potential({str(tmp_path / 'pot.txt')!r}); "
+            "u = pot.u(np.linspace(0.0, 5.0, 64)); "
+            "P.periodize(pot, 3.0, np.array([0.5, 0.0, 0.0])); "
+            "P.phi_nn_bounds(4, 3.0, 1.0, pot); "
+            "P.validate_conditions(pot); "
+            "print(float(u[0]) == pot.u0, sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        package_root = Path(bosecycles.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "True []"
 
     def test_bounds_cli_exits_2(self, tmp_path):
         from bosecycles.cli import main
