@@ -5,10 +5,11 @@ involved) produces byte-identical output files.  Every subcommand writes
 its file through one emitter: a CSV output starts with a provenance block
 of ``# key = value`` lines echoing the resolved parameters, defaults
 included, and a JSON output holds the same fields, in the same order,
-under its ``config`` entry.  The whole file is rendered in memory and the
-output path is opened only then, with one write, so a failed run leaves
-any earlier file in place.  Relative output paths land under
-``$BOSECYCLES_OUTDIR`` when set.
+under its ``config`` entry.  The file streams into a temporary file
+beside the output as its rows are computed, and only a complete file
+replaces the output, so a failed run leaves no file and any earlier file
+in place.  Relative output paths land under ``$BOSECYCLES_OUTDIR`` when
+set.
 
 Parameters can come from a plain-text config file (``key = value`` lines,
 ``#`` comments, read as potential definition files are) named with
@@ -26,17 +27,25 @@ tolerance failure.
 from __future__ import annotations
 
 import argparse
-import io
 import itertools
 import json
 import math
 import os
+import stat
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from .coupling import CouplingParams, coupling_sweep, enumerate_merger_graphs, optimize_coupling
+from .coupling import (
+    CENSUS_MAX_MULTIPLICITY,
+    CENSUS_MAX_VERTICES,
+    CouplingParams,
+    coupling_sweep,
+    enumerate_merger_graphs,
+    optimize_coupling,
+)
 from .cycle_engine import (
     _BRUTE_FORCE_N_MAX,
     N_MAX,
@@ -68,18 +77,15 @@ OUTDIR_ENV = "BOSECYCLES_OUTDIR"
 # largest --num of gain and wavefn: at the cap a cold run takes ~1-2 s and
 # ~70 MB, and a larger value would allocate its grid unchecked
 NUM_MAX = 100_000
-# largest --draws of sample: 1000 draws take ~1.5 s at N = 4096, and at
-# N = N_MAX ~100 s with every draw's ~66000 cycles held and written
+# largest --draws of sample: 1000 draws take ~1.5 s at N = 4096 and ~80 s
+# at N = N_MAX, where a draw has ~66000 cycles; each draw is written as it
+# is drawn and none is held, so a run stays near 66 MB at any count
 DRAWS_MAX = 1000
 # largest --trials of oracle: ~1 ms a trial at --max-n 10, ~10 s at the cap
 TRIALS_MAX = 10_000
 # most entries of scan --N-list, each in 1..N_MAX: ~1.3 s a build at N_MAX
 N_LIST_MAX = 32
-_EMIT_BATCH = 4096  # rendered pieces joined per write
 _CENSUS_CHUNK = 4096  # merger census rows filled per byte matrix
-# marks a pre-rendered JSON value in the encoder's output; no argument can
-# hold it, as argv entries and file paths cannot contain NUL
-_SPLICE = "\0rendered\0"
 
 
 class ConfigError(ValueError):
@@ -283,47 +289,63 @@ class _Rendered:
         self.chunks = chunks
 
 
+def _json_segments(config: dict, payload: dict):
+    """``{"config": config, **payload}`` as ``json.dumps(indent=2)`` lays it
+    out, one top-level value at a time: a ``_Rendered`` value as it is, any
+    other value dumped alone and indented one level."""
+    sep = "{\n  "
+    for key, val in {"config": config, **payload}.items():
+        yield [f"{sep}{json.dumps(key)}: "]
+        yield val if isinstance(val, _Rendered) else [json.dumps(val, indent=2).replace("\n", "\n  ")]
+        sep = ",\n  "
+    yield ["\n}\n"]
+
+
 def _emit(args, config: dict, header, rows, payload: dict) -> Path:
     """Write the run's output file and return its path.
 
     CSV: ``config`` as ``# key = value`` lines, the header, then ``rows``
     (any iterable, consumed once, or a ``_Rendered`` body).  JSON:
-    ``{"config": config, **payload}``; a ``_Rendered`` payload value is
-    spliced in where the encoder would have written it.
-    The whole file is rendered in memory before the output path is opened,
-    so a run that fails while producing rows leaves no file behind and an
-    earlier file untouched; the one open follows a symlinked output path.
+    ``{"config": config, **payload}``, see ``_json_segments``.
+    The text streams into a temporary file beside the output's resolved
+    path, which replaces the output only once it is complete, so a run
+    that fails while producing rows leaves no file behind and an earlier
+    file untouched, and a symlinked output path is written through.  The
+    file gets the mode a plain open would give: the umask's for a new
+    file, the old one's otherwise.
     """
     if args.format == "json":
-        spliced = {key: _SPLICE if isinstance(val, _Rendered) else val for key, val in payload.items()}
-        pieces = json.JSONEncoder(indent=2).iterencode({"config": config, **spliced})
-        marker = json.dumps(_SPLICE)  # the encoder yields a string value as one piece
-        segments = []
-        for val in payload.values():
-            if isinstance(val, _Rendered):
-                segments += [iter(pieces.__next__, marker), val]  # the pieces up to its marker
-        segments.append(itertools.chain(pieces, ["\n"]))
+        segments = _json_segments(config, payload)
     else:
-        head = itertools.chain(
-            (f"# {key} = {_cell(val)}\n" for key, val in config.items()), [",".join(header) + "\n"]
-        )
+        head = [f"# {key} = {_cell(val)}\n" for key, val in config.items()] + [",".join(header) + "\n"]
         body = rows if isinstance(rows, _Rendered) else (",".join(map(_cell, row)) + "\n" for row in rows)
         segments = [head, body]
-    buf = io.BytesIO()
-    text = io.TextIOWrapper(buf)  # encodes as a text-mode open would
-    for segment in segments:
-        if isinstance(segment, _Rendered):
-            text.flush()  # the text so far goes ahead of the chunks
-            for chunk in segment.chunks:
-                buf.write(chunk)
-        else:
-            # joined in batches: a write per JSON piece would slow a large render by a quarter
-            while batch := "".join(itertools.islice(segment, _EMIT_BATCH)):
-                text.write(batch)
-    text.detach()  # flushes into buf and leaves it open
     path = _output_path(args, config["command"])
-    with open(path, "wb") as fp:
-        fp.write(buf.getbuffer())  # a view of the rendered bytes, not a copy
+    try:
+        old = os.stat(path)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    else:
+        if not stat.S_ISREG(old.st_mode):
+            raise ConfigError(f"output {path} is not a regular file")
+        mode = stat.S_IMODE(old.st_mode)
+    real = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(real)}.", suffix=".tmp", dir=os.path.dirname(real))
+    try:
+        with open(fd, "w") as fp:
+            os.fchmod(fd, mode)
+            for segment in segments:
+                if isinstance(segment, _Rendered):
+                    fp.flush()  # the text so far goes ahead of the chunks
+                    fp.buffer.writelines(segment.chunks)
+                else:
+                    fp.writelines(segment)
+        os.replace(tmp, real)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
@@ -365,6 +387,16 @@ def _census_body(census, fmt: str):
         body = mat[keep]
         yield body if part.stop < census.total else body[: len(body) - cut]  # no "," after the last row
     yield closing
+
+
+def _json_draws(draws):
+    """The cycle types as ASCII chunks, one a draw: the JSON list of lists
+    as ``json.dumps(indent=2)`` lays it out at depth 1."""
+    sep = b"[\n    [\n      "
+    for parts in draws:
+        yield sep + ",\n      ".join(map(str, parts)).encode() + b"\n    ]"
+        sep = b",\n    [\n      "
+    yield b"\n  ]"
 
 
 # ----------------------------------------------------------------------
@@ -481,7 +513,16 @@ def cmd_sample(args) -> int:
     weights, system = _weights_and_system(args, params)
     table = build_partition_table(params, weights)
     rng = np.random.default_rng(args.seed)
-    draws = [sample_cycle_type(table, rng).parts for _ in range(args.draws)]
+    longest = 0
+
+    def draws():
+        # one draw at a time, as the file is written; longest is a running sum
+        nonlocal longest
+        for _ in range(args.draws):
+            parts = sample_cycle_type(table, rng).parts
+            longest += max(parts)
+            yield parts
+
     config = {
         "command": "sample",
         **system,
@@ -489,12 +530,12 @@ def cmd_sample(args) -> int:
         "draws": args.draws,
         "weights": args.weights if args.weights else "ideal",
     }
-    rows = ((i, len(parts), " ".join(map(str, parts))) for i, parts in enumerate(draws, start=1))
-    payload = {"draws_lengths": draws}  # tuples encode as JSON arrays, so no list copies are held
+    stream = draws()  # only the chosen format's rows consume it
+    rows = ((i, len(parts), " ".join(map(str, parts))) for i, parts in enumerate(stream, start=1))
+    payload = {"draws_lengths": _Rendered(_json_draws(stream))}
     path = _emit(args, config, ("draw", "n_cycles", "lengths"), rows, payload)
-    longest = [max(parts) for parts in draws]
     print(f"draws = {args.draws}  N = {params.N}")
-    print(f"longest_cycle_mean_fraction = {sum(longest) / (args.draws * params.N)!r}")
+    print(f"longest_cycle_mean_fraction = {longest / (args.draws * params.N)!r}")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -657,7 +698,7 @@ def _add_density(p: argparse.ArgumentParser) -> None:
 
 def _add_system(p: argparse.ArgumentParser) -> None:
     _add_density(p)
-    p.add_argument("--N", type=int, help="particle number")
+    p.add_argument("--N", type=int, help=f"particle number (1..{N_MAX})")
     p.add_argument("--L", type=float, help="box side (exactly one of L/rho/rho-lambda3)")
 
 
@@ -680,7 +721,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="macro/band fractions over a ladder of N at fixed density")
     _add_density(p)
     p.add_argument(
-        "--N-list", dest="N_list", type=_int_list, help="comma-separated sizes (at most 32, each 1..100000)"
+        "--N-list",
+        dest="N_list",
+        type=_int_list,
+        help=f"comma-separated sizes (at most {N_LIST_MAX}, each 1..{N_MAX})",
     )
     p.add_argument("--eps", type=float, default=0.01, help="macroscopic-cycle threshold (default 0.01)")
     _add_common(p)
@@ -701,21 +745,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="exact cycle-type draws from the canonical distribution")
     _add_system(p)
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--draws", type=int, default=1, help="number of cycle types to draw (default 1, max 1000)")
+    p.add_argument(
+        "--draws", type=int, default=1, help=f"number of cycle types to draw (default 1, max {DRAWS_MAX})"
+    )
     p.add_argument("--weights", help="CSV of custom cycle weights (n,w), used verbatim")
     _add_common(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("merger", help="census of admissible merger multigraphs")
     p.add_argument(
-        "--vertices", type=int, default=3, help="number of cycles/vertices (default 3, max 5)"
+        "--vertices",
+        type=int,
+        default=3,
+        help=f"number of cycles/vertices (default 3, max {CENSUS_MAX_VERTICES})",
     )
     p.add_argument(
         "--max-multiplicity",
         dest="max_multiplicity",
         type=int,
         default=3,
-        help="largest edge multiplicity (default 3)",
+        help=f"largest edge multiplicity (default 3, max {CENSUS_MAX_MULTIPLICITY})",
     )
     p.add_argument(
         "--cross-check",
@@ -738,15 +787,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_thermal(p)
     p.add_argument("--eps", type=float, default=0.25, help="surviving-weight fraction (default 0.25)")
     p.add_argument("--c1", type=float, default=1.0, help="fluctuation-penalty constant (default 1)")
-    p.add_argument("--num", type=int, default=101, help="sweep grid size (default 101, max 100000)")
+    p.add_argument("--num", type=int, default=101, help=f"sweep grid size (default 101, max {NUM_MAX})")
     _add_common(p)
     p.set_defaults(func=cmd_gain)
 
     p = sub.add_parser("oracle", help="recursion vs brute-force enumeration (CI gate)")
     p.add_argument(
-        "--max-n", dest="max_n", type=int, default=8, help="largest N enumerated (default 8)"
+        "--max-n",
+        dest="max_n",
+        type=int,
+        default=8,
+        help=f"largest N enumerated (default 8, max {_BRUTE_FORCE_N_MAX})",
     )
-    p.add_argument("--trials", type=int, default=5, help="random weight sequences (default 5, max 10000)")
+    p.add_argument(
+        "--trials", type=int, default=5, help=f"random weight sequences (default 5, max {TRIALS_MAX})"
+    )
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--tol", type=float, default=1e-10, help="relative tolerance (default 1e-10)")
     _add_common(p)
@@ -761,7 +816,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--xbar", type=_float_list, default=(), help="momentum shift vector (default zero)"
     )
     p.add_argument("--axis", type=int, default=0, help="profile axis (default 0)")
-    p.add_argument("--num", type=int, default=257, help="samples along the axis (default 257, max 100000)")
+    p.add_argument(
+        "--num", type=int, default=257, help=f"samples along the axis (default 257, max {NUM_MAX})"
+    )
     _add_common(p)
     p.set_defaults(func=cmd_wavefn)
 

@@ -294,10 +294,11 @@ class _PiecewiseLinear:
         v(|y|) v(|x + y|) over [-R, R - x], cut at +-r_i and +-r_i - x.  d = 3
         is the bipolar form (2 pi/x) int_0^R s v(s) [G(x + s) - G(|x - s|)] ds
         with G(t) = int_0^t tau v(tau) dtau, constant past R, cut at r_i,
-        r_i +- x, x - r_i and x.  The integrands are polynomials of degree
-        <= 5 on every piece, so _POLY_NODES nodes are exact: within 1e-13 u0
-        of mpmath from x = 1e-3 R on.  Below that, in d = 3, the difference of
-        G values costs up to about R/x ulps of u0."""
+        r_i +- x, x - r_i and x; where x + s and |x - s| lie on one segment
+        the G difference is its exact width 2 min(x, s) times the mean of
+        tau v(tau) there.  The integrands are polynomials of degree <= 5 on
+        every piece, so _POLY_NODES nodes are exact: within 1e-13 u0 of
+        mpmath from x = 1e-6 R on."""
         x = np.abs(np.asarray(x, dtype=float))
         r, v, R = self.r, self.values, float(self.r[-1])
         flat = x.ravel()
@@ -311,10 +312,19 @@ class _PiecewiseLinear:
         g1, g2, g3 = r[:-1] * v[:-1], (r[:-1] * slope + v[:-1]) / 2.0, slope / 3.0
         knot_G = np.concatenate(([0.0], np.cumsum(h * (g1 + h * (g2 + h * g3)))))
 
-        def G(t):
-            j = np.minimum(np.searchsorted(r, t, side="right") - 1, len(h) - 1)
-            dt = np.minimum(t, R) - r[j]
-            return knot_G[j] + dt * (g1[j] + dt * (g2[j] + dt * g3[j]))
+        def G_difference(s, x):
+            # G(x + s) - G(|x - s|); with both ends on one segment it is the
+            # exact width 2 min(x, s) times the segment polynomial's mean, as
+            # the plain difference of nearby values loses about R/x ulps
+            ends = np.stack([np.abs(x - s), x + s])
+            j = np.searchsorted(r, ends, side="right") - 1
+            one_segment = (j[0] == j[1]) & (j[1] < len(h))
+            j = np.minimum(j, len(h) - 1)
+            dt = np.minimum(ends, R) - r[j]
+            G = knot_G[j] + dt * (g1[j] + dt * (g2[j] + dt * g3[j]))
+            a, b, j = dt[0], dt[1], j[0]
+            mean = g1[j] + g2[j] * (a + b) + g3[j] * (a * a + a * b + b * b)
+            return np.where(one_segment, 2.0 * np.minimum(x, s) * mean, G[1] - G[0])
 
         nodes, weights = _legendre_rule(_POLY_NODES)
         rows = max(1, _OVERLAP_PIECES // (4 * len(r) + 1))
@@ -332,7 +342,7 @@ class _PiecewiseLinear:
             if d == 1:
                 scale, f = 1.0, self(y) * self(xs + y)
             else:
-                scale, f = 2.0 * math.pi / flat[idx], y * self(y) * (G(xs + y) - G(np.abs(xs - y)))
+                scale, f = 2.0 * math.pi / flat[idx], y * self(y) * G_difference(y, xs)
             out[idx] = scale * np.sum(half * weights * f, axis=(1, 2))
         return out.reshape(x.shape)[()]
 

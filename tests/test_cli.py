@@ -3,8 +3,11 @@
 import csv
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +17,11 @@ import bosecycles
 from bosecycles import coupling
 from bosecycles import cli
 from bosecycles.cli import DRAWS_MAX, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, N_LIST_MAX, NUM_MAX, TRIALS_MAX, main
-from bosecycles.coupling import CouplingParams, coupling_gain_rate
+from bosecycles.coupling import CENSUS_MAX_MULTIPLICITY, CENSUS_MAX_VERTICES, CouplingParams, coupling_gain_rate
 from bosecycles.cycle_engine import (
     _BRUTE_FORCE_N_MAX,
     N_MAX,
+    CycleType,
     SystemParams,
     WeightSequence,
     build_partition_table,
@@ -645,6 +649,12 @@ class TestOutputPlumbing:
         assert (outdir / "link.csv").is_symlink()
         assert target.read_text().startswith("# command = mu\n")
 
+    def test_target_not_a_regular_file_refused(self, outdir, capsys):
+        (outdir / "mu.csv").mkdir()
+        assert main(["mu", "--rho-lambda3", "1.0"]) == EXIT_USAGE
+        assert "is not a regular file" in capsys.readouterr().err
+        assert [p.name for p in outdir.iterdir()] == ["mu.csv"]
+
     def test_module_entry_point(self, tmp_path):
         # The child gets a minimal environment, plus the directory holding
         # the bosecycles package this suite imported, so that it runs the
@@ -794,3 +804,104 @@ class TestWorkSizeCaps:
         assert f"--N-list sizes must lie in 1..{N_MAX}, got {size}" in capsys.readouterr().err
         assert scanned == []
         assert list(outdir.iterdir()) == []
+
+
+class TestStreamingWriter:
+    """The output streams into a temporary file beside the target, which
+    replaces the target only once the file is complete."""
+
+    ARGV = ["sample", "--rho-lambda3", "1.0", "--N", "16", "--seed", "2", "--draws", "5"]
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["new", "earlier-file"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failure_mid_write_leaves_no_file(self, outdir, monkeypatch, capsys, fmt, earlier):
+        target = outdir / f"sample.{fmt}"
+        if earlier:
+            target.write_bytes(b"a known good file\n")
+        seen = []
+        real = cli.sample_cycle_type
+
+        def sampler(table, rng):
+            seen.append(sorted(p.name for p in outdir.iterdir()))
+            if len(seen) == 3:
+                raise RuntimeError("the third draw failed")
+            return real(table, rng)
+
+        monkeypatch.setattr(cli, "sample_cycle_type", sampler)
+        assert main([*self.ARGV, "--format", fmt]) == EXIT_NUMERIC
+        assert "the third draw failed" in capsys.readouterr().err
+        # the draws run while the temporary file is open beside the target
+        temporary = [name for name in seen[-1] if name != target.name]
+        assert len(temporary) == 1 and temporary[0].startswith(f".{target.name}.")
+        if earlier:
+            assert target.read_bytes() == b"a known good file\n"
+            assert [p.name for p in outdir.iterdir()] == [target.name]
+        else:
+            assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("umask", [0o002, 0o027])
+    def test_new_file_mode_follows_umask(self, outdir, umask):
+        old = os.umask(umask)
+        try:
+            assert main(["mu", "--rho-lambda3", "1.0"]) == EXIT_OK
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((outdir / "mu.csv").stat().st_mode) == 0o666 & ~umask
+
+    def test_existing_file_keeps_its_mode(self, outdir):
+        target = outdir / "mu.csv"
+        target.write_text("")
+        target.chmod(0o640)
+        old = os.umask(0o002)
+        try:
+            assert main(["mu", "--rho-lambda3", "1.0"]) == EXIT_OK
+        finally:
+            os.umask(old)
+        assert target.read_text().startswith("# command = mu\n")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+class TestSampleMemory:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_does_not_grow_with_draws(self, outdir, monkeypatch, fmt):
+        # a stand-in sampler keeps this fast: each call returns a fresh
+        # 4096-part cycle type, as a real walk at N = 4096 would
+        monkeypatch.setattr(cli, "sample_cycle_type", lambda table, rng: CycleType(tuple([1] * 4096)))
+
+        def peak(draws):
+            argv = ["sample", "--rho-lambda3", "0.5", "--N", "4096", "--draws", str(draws), "--format", fmt]
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(200) <= peak(20) + 2**20
+
+
+# each capped flag, with the text its help must hold
+CAPPED_FLAGS = {
+    ("spectrum", "--N"): f"1..{N_MAX}",
+    ("sample", "--N"): f"1..{N_MAX}",
+    ("scan", "--N-list"): f"at most {N_LIST_MAX}, each 1..{N_MAX}",
+    ("sample", "--draws"): f"max {DRAWS_MAX}",
+    ("merger", "--vertices"): f"max {CENSUS_MAX_VERTICES}",
+    ("merger", "--max-multiplicity"): f"max {CENSUS_MAX_MULTIPLICITY}",
+    ("gain", "--num"): f"max {NUM_MAX}",
+    ("wavefn", "--num"): f"max {NUM_MAX}",
+    ("oracle", "--max-n"): f"max {_BRUTE_FORCE_N_MAX}",
+    ("oracle", "--trials"): f"max {TRIALS_MAX}",
+}
+
+
+def test_help_names_each_cap():
+    (subparsers,) = [a for a in cli.build_parser()._actions if a.choices and a.dest == "command"]
+    helps = {
+        (command, flag): action.help
+        for command, parser in subparsers.choices.items()
+        for action in parser._actions
+        for flag in action.option_strings
+    }
+    for key, text in CAPPED_FLAGS.items():
+        assert text in helps[key], key

@@ -788,12 +788,12 @@ class TestSegmentIntegrals:
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("name", ["exponential", "hat", "random"])
     def test_overlap_against_mpmath(self, name, d):
-        # the segment overlap is exact to rounding from 1e-3 R up to 2R
+        # the segment overlap is exact to rounding from 1e-6 R up to 2R
         r, v = _OVERLAP_PROFILES[name]
         p = autocorrelation_potential(r, v, d=d)
         R = r[-1]
-        with mp.workdps(20):
-            for x in (1e-3 * R, r[len(r) // 2], R - r[len(r) // 3], R, 1.999 * R):
+        with mp.workdps(30):
+            for x in (1e-6 * R, 1e-3 * R, r[len(r) // 2], R - r[len(r) // 3], R, 1.999 * R):
                 assert abs(float(p.u(x)) - float(_profile_overlap(r, v, d, x))) <= 1e-13 * p.u0
         assert p.u(0.0) == p.u0
         assert p.u(2 * R) == 0.0 and p.u(7.5 * R) == 0.0

@@ -58,6 +58,10 @@ RUNS = {
     "bounds-tabulated": ["bounds", "--potential", "{tabulated.txt}", "--rho", "0.05", "--beta", "1"],
     "bounds-autocorrelation": ["bounds", "--potential", "{autocorrelation.txt}", "--rho", "1", "--beta", "1"],
     "sample": ["sample", "--rho-lambda3", "3.0", "--N", "64", "--seed", "7", "--draws", "4"],
+    # the streamed sampler path: custom weights, and seeded draws at two sizes on both sides of the transition
+    "sample-weights": ["sample", "--L", "2", "--N", "8", "--beta", "1", "--weights", "{weights.csv}", "--draws", "3"],
+    "sample-2048": ["sample", "--rho-lambda3", "3.0", "--N", "2048", "--seed", "11", "--draws", "20"],
+    "sample-4096": ["sample", "--rho-lambda3", "1.8", "--N", "4096", "--seed", "12", "--draws", "20"],
     "merger-3": ["merger", "--vertices", "3"],
     "merger-3-cross": ["merger", "--vertices", "3", "--cross-check"],
     "merger-4": ["merger", "--vertices", "4"],
