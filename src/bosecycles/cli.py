@@ -51,11 +51,11 @@ from .cycle_engine import (
     N_MAX,
     SystemParams,
     WeightSequence,
+    _cycle_types,
     aggregate_macroscopic,
     brute_force_partition_fn,
     build_partition_table,
     cycle_density_spectrum,
-    sample_cycle_type,
 )
 from .potentials import (
     _read_keyvalue,
@@ -64,7 +64,7 @@ from .potentials import (
     gaussian_potential,
     load_potential,
 )
-from .special_fn import _require_length
+from .special_fn import _require_length, thermal_wavelength
 from .thermo import ScanRow, finite_size_scan, ideal_point
 from .wavefunctions import CycleWaveParams, wave_profile
 
@@ -142,9 +142,7 @@ def _resolve_thermal(args) -> tuple[float, float]:
     if args.beta is not None and args.lam is not None:
         raise ConfigError("give exactly one of --beta and --lam, got both")
     if args.beta is not None:
-        if not args.beta > 0.0:
-            raise ConfigError(f"beta must be positive, got {args.beta}")
-        lam = math.sqrt(2.0 * math.pi * args.beta)
+        lam = thermal_wavelength(args.beta)  # rejects a beta that is not positive and finite
     else:
         lam = 1.0 if args.lam is None else args.lam
         if not lam > 0.0:
@@ -512,14 +510,14 @@ def cmd_sample(args) -> int:
         raise ConfigError(f"--draws is capped at {DRAWS_MAX}, got {args.draws}")
     weights, system = _weights_and_system(args, params)
     table = build_partition_table(params, weights)
-    rng = np.random.default_rng(args.seed)
+    cycle_types = _cycle_types(table, np.random.default_rng(args.seed))
     longest = 0
 
     def draws():
         # one draw at a time, as the file is written; longest is a running sum
         nonlocal longest
         for _ in range(args.draws):
-            parts = sample_cycle_type(table, rng).parts
+            parts = next(cycle_types).parts
             longest += max(parts)
             yield parts
 

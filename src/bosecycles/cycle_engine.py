@@ -389,33 +389,40 @@ def sample_cycle_type(table: LogPartitionTable, seed) -> CycleType:
     any bit generator, and the seeded draws are those of that walk.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    state = rng.bit_generator.state
+    return next(_cycle_types(table, rng))
+
+
+def _cycle_types(table: LogPartitionTable, rng: np.random.Generator) -> Iterator[CycleType]:
+    # the draws of repeated sample_cycle_type(table, rng) calls, one per
+    # next(), with the table's arrays made lists once for all of them
     log_w = table.weights.log_w[: table.N].tolist()
     D = table.D.tolist()
     exp = math.exp
-    uniforms = []
-    used = 0
-    parts = []
-    M = table.N
-    while M > 0:
-        if used == len(uniforms):
-            uniforms += rng.random(max(64, used)).tolist()
-        target = uniforms[used] * M
-        used += 1
-        total = log_ratio = 0.0
-        n = 0
-        while n < M:
-            log_ratio -= D[M - 1 - n]  # log Q_{M-n-1} - log Q_M
-            total += exp(log_w[n] + log_ratio)
-            n += 1
-            if total > target:
-                break
-        parts.append(n)
-        M -= n
-    # rewind: the Generator ends where `used` scalar rng.random() calls leave it
-    rng.bit_generator.state = state
-    rng.random(used)
-    return CycleType(tuple(parts))
+    while True:
+        state = rng.bit_generator.state
+        uniforms = []
+        used = 0
+        parts = []
+        M = table.N
+        while M > 0:
+            if used == len(uniforms):
+                uniforms += rng.random(max(64, used)).tolist()
+            target = uniforms[used] * M
+            used += 1
+            total = log_ratio = 0.0
+            n = 0
+            while n < M:
+                log_ratio -= D[M - 1 - n]  # log Q_{M-n-1} - log Q_M
+                total += exp(log_w[n] + log_ratio)
+                n += 1
+                if total > target:
+                    break
+            parts.append(n)
+            M -= n
+        # rewind: the Generator ends where `used` scalar rng.random() calls leave it
+        rng.bit_generator.state = state
+        rng.random(used)
+        yield CycleType(tuple(parts))
 
 
 def _partition_multiplicities(N: int, nmax: int | None = None) -> Iterator[dict]:

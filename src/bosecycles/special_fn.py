@@ -6,7 +6,9 @@ Everything downstream is built from the one-dimensional lattice Gaussian sum
 
 its shifted and phased form sum_z exp(-pi a (z+s)^2) exp(2 pi i (z+s) w),
 all summed by one kernel, and the Bose function
-(polylogarithm) g_s(z) = sum_{n>=1} z^n / n^s.  Units are reduced,
+(polylogarithm) g_s(z) = sum_{n>=1} z^n / n^s, whose values near and at
+saturation, zeta(s) = g_s(1) included, come from one Euler-Maclaurin sum
+of n^{-s} e^{-t n} with t = -log z.  Units are reduced,
 hbar = m = 1, so the thermal wavelength is lambda_beta = sqrt(2*pi*beta)
 and the single-particle torus weight q_n = Theta(n lambda^2/L^2)^d is a
 plain product over dimensions.  All dimensionless combinations
@@ -38,14 +40,12 @@ __all__ = [
 # relative error below double-precision resolution.
 _TAIL_EXPONENT = 40.0
 
-# Polylog evaluation: direct series up to this fugacity, head sum plus
-# Euler-Maclaurin tail beyond (the inversion code needs smooth values up
-# to and including z = 1).
+# Polylog evaluation: direct series up to this fugacity, _power_exp_sum
+# beyond (the inversion code needs smooth values up to and including z = 1).
 _SERIES_Z_MAX = 0.99
-_EM_HEAD_TERMS = 10_000
 
-# zeta(s): terms summed before the Euler-Maclaurin tail, and the tail's
-# coefficients B_2k/(2k)!, k = 1..10 (exact ratios, correctly rounded)
+# _power_exp_sum: terms summed before the Euler-Maclaurin tail, and the
+# tail's coefficients B_2k/(2k)!, k = 1..10 (exact ratios, correctly rounded)
 _ZETA_HEAD = 10
 _BERNOULLI_2K_OVER_FACTORIAL = (
     1 / 12,
@@ -164,32 +164,6 @@ def reduce_shift(shift) -> np.ndarray:
     return s - np.round(s)
 
 
-def zeta(s: float) -> float:
-    """Riemann zeta for s > 1 (the saturation value g_s(1)).
-
-    Euler-Maclaurin summation (DLMF 25.2.9): the terms n < 10 are summed
-    directly and the tail from n = 10 is its integral, half the boundary
-    term and ten Bernoulli corrections.  The remainder after them is below
-    1e-19 relative for every s > 1, so the result carries only the rounding
-    of the summed terms (fsum): within 2e-16 relative of the exact value
-    over s in (1, 10], tested against mpmath.
-    """
-    s = float(s)
-    if s <= 1.0:
-        raise ValueError(f"zeta(s) with s <= 1 is outside the convergent range, got s={s}")
-    head = [n**-s for n in range(1, _ZETA_HEAD)]
-    edge = _ZETA_HEAD**-s
-    if edge == 0.0:  # s > ~323: the corrections are below the head's last bit
-        return math.fsum(head)
-    terms = head + [_ZETA_HEAD * edge / (s - 1.0), 0.5 * edge]
-    # c_k s (s+1) ... (s+2k-2) N^{-s-2k+1}, with c_k = B_2k/(2k)!
-    rising = s * edge / _ZETA_HEAD
-    for k, c in enumerate(_BERNOULLI_2K_OVER_FACTORIAL):
-        terms.append(c * rising)
-        rising *= (s + 2 * k + 1) * (s + 2 * k + 2) / _ZETA_HEAD**2
-    return math.fsum(terms)
-
-
 def _lower_gamma_series(p: float, x: float) -> float:
     # gamma(p, x) = x^p e^{-x} sum_{n>=0} x^n / (p (p+1) ... (p+n)) for p > 0
     # (DLMF 8.7.1); every term is positive, so it is cut at 1e-17 of the sum
@@ -240,7 +214,7 @@ def _power_exp_integral(s: float, t: float, a: float) -> float:
     # which is stable there as x^p dominates.  Within ~4e-15 relative for
     # s in [1.5, 9] and 0 < t a <= 45 (tested against mpmath).
     if t == 0.0:
-        return a ** (1.0 - s) / (s - 1.0)
+        return a * a**-s / (s - 1.0)
     x = t * a
     p = 1.0 - s
     if x >= 1.0:
@@ -257,18 +231,39 @@ def _power_exp_integral(s: float, t: float, a: float) -> float:
     return t ** (s - 1.0) * g
 
 
-def _em_tail(s: float, t: float, a: float) -> float:
-    # Euler-Maclaurin value of sum_{n >= a} n^{-s} e^{-t n}:
-    # integral + f(a)/2 - f'(a)/12 + f'''(a)/720, with f = x^{-s} e^{-t x}.
-    if t * a > 45.0:
-        return 0.0  # tail below e^{-45} of the head scale
-    integral = _power_exp_integral(s, t, a)
-    fa = a ** (-s) * math.exp(-t * a)
-    g1 = -(s / a + t)  # (log f)'
-    g2 = s / a**2  # (log f)''
-    g3 = -2.0 * s / a**3  # (log f)'''
-    fppp = (g3 + 3.0 * g1 * g2 + g1**3) * fa
-    return integral + 0.5 * fa - g1 * fa / 12.0 + fppp / 720.0
+def _power_exp_sum(s: float, t: float) -> float:
+    # S(s, t) = sum_{n>=1} n^{-s} e^{-t n} for 0 <= t < 0.0101 (s > 1 at t = 0).
+    # Euler-Maclaurin summation (DLMF 2.10.1; 25.2.9 at t = 0): the terms
+    # n < a = 10 are summed directly and the tail from n = a is its integral,
+    # half the boundary term f(a) and ten corrections -B_2k/(2k)! f^(2k-1)(a),
+    # f = x^{-s} e^{-t x}.  The derivatives at a follow from the m-th
+    # derivative of x f' = -(s + t x) f:
+    #     a f^(m+1) = -(s + m + t a) f^(m) - t m f^(m-1),
+    # at t = 0 the rising factorial s (s+1) ... of zeta.
+    a = _ZETA_HEAD
+    terms = [n**-s * math.exp(-t * n) for n in range(1, a)]
+    f = a**-s * math.exp(-t * a)
+    if f == 0.0:  # s > ~323: the tail is below the head's last bit
+        return math.fsum(terms)
+    terms += [_power_exp_integral(s, t, a), 0.5 * f]
+    previous, current = 0.0, f
+    for m in range(2 * len(_BERNOULLI_2K_OVER_FACTORIAL) - 1):
+        previous, current = current, -((s + m + t * a) * current + t * m * previous) / a
+        if m % 2 == 0:  # current is the odd derivative f^(m+1)
+            terms.append(-_BERNOULLI_2K_OVER_FACTORIAL[m // 2] * current)
+    return math.fsum(terms)
+
+
+def zeta(s: float) -> float:
+    """Riemann zeta for s > 1 (the saturation value g_s(1)).
+
+    The t = 0 case of the Euler-Maclaurin sum that ``polylog`` uses near
+    z = 1, see there for its error.
+    """
+    s = float(s)
+    if s <= 1.0:
+        raise ValueError(f"zeta(s) with s <= 1 is outside the convergent range, got s={s}")
+    return _power_exp_sum(s, 0.0)
 
 
 def polylog(s: float, z: float) -> float:
@@ -280,13 +275,15 @@ def polylog(s: float, z: float) -> float:
     z : fugacity in [0, 1].
 
     The direct series is summed for z <= 0.99 with terms cut at 1e-17
-    relative.  Closer to z = 1, with t = -log z, a fixed 10^4-term head is
-    completed by the Euler-Maclaurin tail of n^{-s} e^{-t n} from
-    n = 10^4 + 1: its integral t^{s-1} Gamma(1-s, t a) (series and
-    continued fraction of the incomplete gamma function, DLMF 8.7 and 8.9),
-    half the boundary term and two derivative corrections.  The documented
-    error is 1e-13 relative up to and including z = 1; measured against
-    mpmath it stays below 1e-15 for s in [1.5, 3.5] and z in (0.99, 1].
+    relative.  Closer to z = 1, with t = -log z, the sum of n^{-s} e^{-t n}
+    takes the terms n < 10 directly and the tail from n = 10 by
+    Euler-Maclaurin summation: its integral t^{s-1} Gamma(1-s, 10 t) (the
+    incomplete gamma series, DLMF 8.7), half the boundary term and ten
+    Bernoulli corrections.  zeta(s) is the same sum at t = 0, so
+    polylog(s, 1) == zeta(s).  The remainder after the corrections is far
+    below double precision, so only the rounding of the terms shows: within
+    1e-15 relative of mpmath for z in (0.99, 1], tested at orders s from
+    -2.5 to 9 and for zeta over s in (1, 10].
     """
     s = float(s)
     z = float(z)
@@ -301,10 +298,7 @@ def polylog(s: float, z: float) -> float:
         nmax = max(40, math.ceil(math.log(1e-17 * z * (1.0 - z)) / math.log(z)))
         n = np.arange(1, nmax + 1)
         return float(np.sum(z**n / n**s))
-    t = -math.log(z)  # 0 <= t < 0.01005
-    n = np.arange(1, _EM_HEAD_TERMS + 1)
-    head = float(np.sum(np.exp(-t * n) / n**s))
-    return head + _em_tail(s, t, float(_EM_HEAD_TERMS + 1))
+    return _power_exp_sum(s, -math.log(z))  # 0 <= t < 0.01005
 
 
 def q_n(params, n: int, shift=None) -> float:

@@ -554,14 +554,49 @@ class TestFailedRuns:
             (["spectrum", "--rho", "1", "--N", "5", "--d", "0"], "dimension must be >= 1, got 0"),
             (["spectrum", "--L", "1", "--N", "5", "--lam", "1e150"], "thermal wavelength lambda = "),
             (["wavefn", "--n", "4", "--L", "1", "--y", "nan"], "must be finite"),
+            (["mu", "--rho", "1", "--rho-lambda3", "1"], "give exactly one of --rho and --rho-lambda3"),
+            (
+                ["spectrum", "--L", "2", "--N", "3", "--weights", "{fractional_n}"],
+                "{fractional_n}:3: cycle length must be an integer, got 1.5",
+            ),
+            (["spectrum", "--L", "2", "--N", "3", "--weights", "{repeated_n}"], "{repeated_n}:4: duplicate weight for n = 2"),
+            (["bounds", "--potential", "gaussian:a,1", "--rho", "1"], "bad gaussian parameters in 'gaussian:a,1'"),
+            (["sample", "--rho-lambda3", "1", "--N", "8", "--draws", "0"], "--draws must be >= 1, got 0"),
+            (["oracle", "--trials", "0"], "--trials must be >= 1, got 0"),
+            (["mu", "--rho", "1", "--beta=0"], "beta must be positive and finite, got 0.0"),
+            (["mu", "--rho", "1", "--beta=-inf"], "beta must be positive and finite, got -inf"),
+            (["mu", "--rho", "1", "--beta=inf"], "beta must be positive and finite, got inf"),
+            (["mu", "--rho", "1", "--beta=nan"], "beta must be positive and finite, got nan"),
         ],
-        ids=["potential-without-g", "spectrum-d0", "spectrum-huge-lam", "wavefn-nan-y"],
+        ids=[
+            "potential-without-g",
+            "spectrum-d0",
+            "spectrum-huge-lam",
+            "wavefn-nan-y",
+            "mu-rho-and-rho-lambda3",
+            "weights-fractional-n",
+            "weights-repeated-n",
+            "gaussian-bad-number",
+            "sample-zero-draws",
+            "oracle-zero-trials",
+            "mu-beta-zero",
+            "mu-beta-negative",
+            "mu-beta-inf",
+            "mu-beta-nan",
+        ],
     )
     def test_rejected_without_output(self, outdir, tmp_path_factory, capsys, argv, message):
-        no_g = tmp_path_factory.mktemp("potential") / "no_g.txt"
-        no_g.write_text("kind = gaussian\nsigma = 0.8\n")
-        assert main([arg.format(no_g=no_g) for arg in argv]) == EXIT_USAGE
-        assert message in capsys.readouterr().err
+        inputs = tmp_path_factory.mktemp("inputs")
+        texts = {
+            "no_g": "kind = gaussian\nsigma = 0.8\n",
+            "fractional_n": "n,w\n1,1.0\n1.5,0.5\n2,0.3\n3,0.2\n",
+            "repeated_n": "n,w\n1,1.0\n2,0.5\n2,0.4\n3,0.2\n",
+        }
+        paths = {name: inputs / f"{name}.txt" for name in texts}
+        for name, text in texts.items():
+            paths[name].write_text(text)
+        assert main([arg.format(**paths) for arg in argv]) == EXIT_USAGE
+        assert message.format(**paths) in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -819,15 +854,17 @@ class TestStreamingWriter:
         if earlier:
             target.write_bytes(b"a known good file\n")
         seen = []
-        real = cli.sample_cycle_type
+        real = cli._cycle_types
 
         def sampler(table, rng):
-            seen.append(sorted(p.name for p in outdir.iterdir()))
-            if len(seen) == 3:
-                raise RuntimeError("the third draw failed")
-            return real(table, rng)
+            draws = real(table, rng)
+            while True:
+                seen.append(sorted(p.name for p in outdir.iterdir()))
+                if len(seen) == 3:
+                    raise RuntimeError("the third draw failed")
+                yield next(draws)
 
-        monkeypatch.setattr(cli, "sample_cycle_type", sampler)
+        monkeypatch.setattr(cli, "_cycle_types", sampler)
         assert main([*self.ARGV, "--format", fmt]) == EXIT_NUMERIC
         assert "the third draw failed" in capsys.readouterr().err
         # the draws run while the temporary file is open beside the target
@@ -864,9 +901,13 @@ class TestStreamingWriter:
 class TestSampleMemory:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_peak_does_not_grow_with_draws(self, outdir, monkeypatch, fmt):
-        # a stand-in sampler keeps this fast: each call returns a fresh
-        # 4096-part cycle type, as a real walk at N = 4096 would
-        monkeypatch.setattr(cli, "sample_cycle_type", lambda table, rng: CycleType(tuple([1] * 4096)))
+        # a stand-in sampler keeps this fast: each draw is a fresh
+        # 4096-part cycle type, as a real walk at N = 4096 would give
+        def sampler(table, rng):
+            while True:
+                yield CycleType(tuple([1] * 4096))
+
+        monkeypatch.setattr(cli, "_cycle_types", sampler)
 
         def peak(draws):
             argv = ["sample", "--rho-lambda3", "0.5", "--N", "4096", "--draws", str(draws), "--format", fmt]

@@ -178,6 +178,22 @@ class TestPolylog:
         assert polylog(1.5, 1.0) == pytest.approx(zeta(1.5), rel=1e-12)
         assert polylog(2.5, 1.0) == pytest.approx(zeta(2.5), rel=1e-12)
 
+    def test_saturation_is_zeta_exactly(self):
+        # one Euler-Maclaurin sum serves both: g_s(1) is zeta(s) to the bit
+        orders = [1.5, 2.0, 2.5, 3.0, 3.5, *map(float, np.linspace(1.0, 12.0, 206)[1:])]
+        assert [s for s in orders if polylog(s, 1.0) != zeta(s)] == []
+
+    @pytest.mark.parametrize("s", [-2.5, -1.0, 0.5, 1.5, 2.0, 2.5, 3.0, 3.5, 4.5, 9.0])
+    def test_near_saturation_error_figure(self, s):
+        # the documented 1e-15 of the Euler-Maclaurin sum, z in (0.99, 1],
+        # against a 40-digit reference
+        zs = [*(1.0 - np.geomspace(1e-15, 0.01, 25)), 0.995, 0.9999, 0.99999999]
+        with mp.workdps(40):
+            for z in map(float, zs):
+                assert polylog(s, z) == pytest.approx(float(mp.polylog(s, z)), rel=1e-15, abs=0.0)
+            if s > 1.0:
+                assert polylog(s, 1.0) == pytest.approx(float(mp.zeta(s)), rel=1e-15, abs=0.0)
+
     def test_small_z_linear(self):
         assert polylog(2.0, 1e-12) == pytest.approx(1e-12, rel=1e-10)
         assert polylog(2.0, 0.0) == 0.0

@@ -298,6 +298,18 @@ class TestDcpModelArray:
         direct = float(np.sum(np.exp(b * n - np.sqrt(n) + beta * mu * n) / n**1.5))
         assert direct == pytest.approx(rho * lam**3, rel=1e-10)
 
+    def test_mu_bracket_widens(self):
+        # a negligible phi_1 puts the first bracket y = -50 above the target:
+        # S(-50) ~ phi_2 e^{-100} / 2^{3/2} = 1.1e-44 > 1e-50, so the lower
+        # end is doubled before the bisection
+        beta, target = 1.0, 1e-50
+        n = np.arange(1, 1000 + 1, dtype=float)
+        log_phi = np.where(n == 1.0, math.log(1e-30), -0.1 * n)
+        model = DcpModel.from_weights(WeightSequence(log_phi, tag="custom"), beta, 3, b=0.0)
+        assert model.saturation_sum(-50.0) > target
+        mu = dcp_mu(_rho(target, beta), beta, model, 3)
+        assert model.saturation_sum(beta * mu) == pytest.approx(target, rel=1e-9, abs=0.0)
+
     def test_polynomial_tail_raises_truncation_error(self):
         # phi == 1 as a bare array cannot certify its polynomial tail
         phi = WeightSequence(np.zeros(2000), tag="custom", rate=0.0)

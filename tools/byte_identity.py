@@ -52,6 +52,7 @@ RUNS = {
     "mu-d4": ["mu", "--d", "4", "--rho", "0.01", "--beta", "1.0"],
     "mu-d4-above": ["mu", "--d", "4", "--rho", "1.0", "--beta", "1.0"],
     "mu-d5": ["mu", "--d", "5", "--rho", "0.001", "--beta", "1.0"],
+    "mu-d5-above": ["mu", "--d", "5", "--rho", "1.0", "--beta", "1.0"],  # zeta(1 + d/2) at d = 5
     "bounds-inline": ["bounds", "--potential", "gaussian:1,1", "--rho", "1", "--beta", "1"],
     "bounds-inline-below": ["bounds", "--potential", "gaussian:1,1", "--rho", "0.05", "--beta", "1"],
     "bounds-d4": ["bounds", "--d", "4", "--potential", "gaussian:1,1", "--rho", "0.01", "--beta", "1"],
@@ -72,7 +73,7 @@ RUNS = {
     "wavefn": ["wavefn", "--n", "4", "--L", "2", "--y", "0.5", "--num", "16"],
     "weights-malformed": ["spectrum", "--rho", "1", "--N", "4", "--weights", "{bad_weights.csv}"],
     "mu-d2": ["mu", "--d", "2", "--rho", "1"],
-    "mu-near-critical": ["mu", "--rho-lambda3", "2.6"],  # z in (0.99, 1): the polylog's incomplete-gamma tail
+    "mu-near-critical": ["mu", "--rho-lambda3", "2.6"],  # z in (0.99, 1): the polylog's Euler-Maclaurin sum
     "bounds-box": ["bounds", "--potential", "{box.txt}", "--rho", "0.5"],
     "bounds-box-c-u": ["bounds", "--potential", "{box.txt}", "--rho", "0.5", "--c-u", "0.1"],
     "merger-5-m2": ["merger", "--vertices", "5", "--max-multiplicity", "2"],  # the cli-cold merger op
