@@ -62,6 +62,12 @@ _BLOCK = 256  # rows per block of the recursion; the first block runs the exact 
 _TILT_LOG_MAX = 150.0
 _FLUSH_LOG = 350.0
 _SUB = 16  # rows per triangular solve inside a tilted block; the inverse below assumes 16
+# lags a - c of a sub-block's rows and columns, and the weight index of each
+# lag below the diagonal (0 elsewhere, where it is masked)
+_LAG = np.subtract.outer(np.arange(_SUB), np.arange(_SUB))
+_BELOW = _LAG > 0
+_LAG_INDEX = np.where(_BELOW, _LAG - 1, 0)
+_EYE = np.eye(_SUB)
 
 WEIGHT_TAGS = ("ideal", "dcp-lower", "dcp-upper", "custom")
 
@@ -279,6 +285,13 @@ def _flushed_exp(log_x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _last_kept(log_x: np.ndarray) -> int:
+    """Index of the last factor that _flushed_exp keeps, 0 if it keeps none."""
+    kept = log_x[::-1] >= -_FLUSH_LOG
+    i = int(kept.argmax())
+    return log_x.size - 1 - i if kept[i] else 0
+
+
 def _tilted_rows(log_w: np.ndarray, D: np.ndarray, M0: int, M1: int) -> np.ndarray | None:
     """D_M for M = M0..M1-1 from the recursion tilted by b = D_{M0-1}.
 
@@ -291,24 +304,29 @@ def _tilted_rows(log_w: np.ndarray, D: np.ndarray, M0: int, M1: int) -> np.ndarr
     """
     b = D[M0 - 2]
     log_wt = log_w[: M1 - 1] - b * np.arange(1, M1)
-    log_r_rev = np.concatenate(([0.0], -np.cumsum(D[M0 - 2 :: -1] - b)))  # log r_j, j = M0-1 down to 0
-    if log_wt.max() > _TILT_LOG_MAX or log_r_rev.max() > _TILT_LOG_MAX:
+    log_r_rev = np.zeros(M0)  # log r_j, j = M0-1 down to 0
+    np.cumsum(b - D[M0 - 2 :: -1], out=log_r_rev[1:])
+    # past its last kept index each array is below -_FLUSH_LOG, so the
+    # range checks read no further
+    last_w = _last_kept(log_wt)
+    last_r = _last_kept(log_r_rev)
+    if log_wt[: last_w + 1].max() > _TILT_LOG_MAX or log_r_rev[: last_r + 1].max() > _TILT_LOG_MAX:
         return None
-    wt = _flushed_exp(log_wt)
-    r_rev = _flushed_exp(log_r_rev)
     # the terms with M - n < M0; zero tails of either factor add nothing
     rows = M1 - M0
-    k = 1 + min(np.flatnonzero(r_rev).max(), np.flatnonzero(wt).max(initial=0))
-    cross = np.correlate(wt[: rows - 1 + k], r_rev[:k], "valid")
+    k = 1 + min(last_r, last_w)
+    wt = _flushed_exp(log_wt[: max(rows - 1 + k, _SUB - 1)])
+    r_rev = _flushed_exp(log_r_rev[:k])
+    cross = np.correlate(wt[: rows - 1 + k], r_rev, "valid")
     # Rows i0..i0+_SUB-1 of the block solve (diag(m) - T) r = rhs with m = M0 + i
     # and T[a, c] = w~_{a-c} below the diagonal.  With N = T/m (rows scaled)
     # the inverse is (I + N)(I + N^2)(I + N^4)(I + N^8) diag(1/m): every
     # factor is >= 0, so nothing cancels.
-    lag = np.subtract.outer(np.arange(_SUB), np.arange(_SUB))
-    T = np.where(lag > 0, wt[lag - 1], 0.0)
-    m = M0 + np.arange(-(-rows // _SUB) * _SUB, dtype=float).reshape(-1, _SUB)
+    T = np.where(_BELOW, wt[_LAG_INDEX], 0.0)
+    subs = -(-rows // _SUB)
+    m = np.arange(M0, M0 + subs * _SUB, dtype=float).reshape(subs, _SUB)
     power = T / m[:, :, None]
-    inv = np.eye(_SUB) + power
+    inv = _EYE + power
     for _ in range(3):  # N^2, N^4, N^8; N^16 = 0
         power = power @ power
         inv += inv @ power
@@ -316,17 +334,22 @@ def _tilted_rows(log_w: np.ndarray, D: np.ndarray, M0: int, M1: int) -> np.ndarr
     r = np.empty(rows)
     for s, i0 in enumerate(range(0, rows, _SUB)):
         i1 = min(i0 + _SUB, rows)
-        L = i1 - i0
         rhs = cross[i0:i1]
         if i0:  # the terms from earlier rows of this block
             rhs = rhs + np.correlate(wt[: i1 - 1], r[i0 - 1 :: -1], "valid")
-        x = inv[s, :L, :L] @ rhs
         # one pass of the row formula keeps the w == 1 fixed point bit-exact
-        r[i0:i1] = (rhs + T[:L, :L] @ x) / m[s, :L]
-    log_r = np.log(r)
-    if not np.all(np.abs(log_r) <= _TILT_LOG_MAX):
+        if i1 - i0 == _SUB:
+            r[i0:i1] = (rhs + T.dot(inv[s].dot(rhs))) / m[s]
+        else:  # the block's last, short leaf
+            L = i1 - i0
+            r[i0:i1] = (rhs + T[:L, :L] @ (inv[s, :L, :L] @ rhs)) / m[s, :L]
+    log_r = np.zeros(rows + 1)  # log r_j, j = M0-1 .. M1-1
+    np.log(r, out=log_r[1:])
+    if not abs(log_r).max() <= _TILT_LOG_MAX:
         return None
-    return b + np.diff(log_r, prepend=0.0)
+    steps = np.subtract(log_r[1:], log_r[:-1])
+    steps += b
+    return steps
 
 
 def build_partition_table(params: SystemParams, weights: WeightSequence) -> LogPartitionTable:
