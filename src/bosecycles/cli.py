@@ -169,9 +169,13 @@ def _resolve_density(args, lam: float) -> float:
 
 
 def _resolve_system(args) -> SystemParams:
-    """N plus exactly one of --L/--rho/--rho-lambda3 fix the box."""
+    """N plus exactly one of --L/--rho/--rho-lambda3 fix the box.  N above
+    N_MAX is refused before any weights are allocated; N < 1 is left to
+    SystemParams, which names it."""
     if args.N is None:
         raise ConfigError("--N is required")
+    if args.N > N_MAX:
+        raise ConfigError(f"--N must lie in 1..{N_MAX}, got {args.N}")
     beta, lam = _resolve_thermal(args)
     given = [v for v in (args.L, args.rho, args.rho_lambda3) if v is not None]
     if len(given) != 1:

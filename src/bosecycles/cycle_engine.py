@@ -10,13 +10,14 @@ and, next to it, the O(1) steps D_M = log Q_M - log Q_{M-1}.  Ratios
 such as log Q_{N-n} - log Q_N are reversed cumsums of D, so no two large
 logs are subtracted and sum_n rho_n = rho holds to 1e-12 up to the cap.
 
-The recursion is O(N^2), capped at N <= 10^5.  Rows come in blocks of
-256: the first block runs the exact log-space loop; each later block is
-tilted by the local slope of log Q (the scaling identity w_n -> c^n w_n
-makes the tilt exact), takes its terms from all earlier rows in one
-correlation, and solves its own rows 16 at a time, each 16 with a
-precomputed nonnegative inverse of their triangular system.  The cap
-takes about 1-3 s.
+The recursion is O(N^2), capped at N <= 10^5.  Rows 1..16 run the exact
+log-space loop; the rows after them come in blocks that each span as
+many rows as precede them, up to 256 (16, 32, 64, 128, then 256 from
+row 257 on).  Each block is tilted by the local slope of log Q (the
+scaling identity w_n -> c^n w_n makes the tilt exact), takes its terms
+from all earlier rows in one correlation, and solves its own rows 16 at
+a time, each 16 with a precomputed nonnegative inverse of their
+triangular system.  The cap takes well under a second.
 
 Exact cycle types are drawn by chop-down inversion of the same law:
 each step walks n = 1, 2, ... over the terms w_n Q_{M-n}/Q_M, so a draw
@@ -54,7 +55,7 @@ __all__ = [
 
 N_MAX = 100_000  # O(N^2) recursion cost cap
 
-_BLOCK = 256  # rows per block of the recursion; the first block runs the exact loop
+_BLOCK = 256  # most rows in one tilted block of the recursion
 # Tilted blocks keep every factor and every result within e^{+-150} and flush
 # factors below e^{-350} to zero: products of kept factors are normal floats,
 # and a flushed term is below e^{-200}, far under the resolution of a sum
@@ -355,13 +356,14 @@ def _tilted_rows(log_w: np.ndarray, D: np.ndarray, M0: int, M1: int) -> np.ndarr
 def build_partition_table(params: SystemParams, weights: WeightSequence) -> LogPartitionTable:
     """Run the cycle-weight recursion up to N.
 
-    The first _BLOCK rows run the exact log-space loop, so a table with
-    N <= _BLOCK is that loop's output bit for bit.  Each later block of
-    _BLOCK rows is tilted by the local slope of log Q and solved in linear
-    space: one correlation for the terms that reach back before the block,
-    then triangular solves of _SUB rows inside it.  It yields the O(1)
-    steps D_M, and log Q is their running sum.  A block whose tilted logs
-    leave the float range runs the exact loop instead.
+    The first _SUB = 16 rows run the exact log-space loop, so a table with
+    N <= 16 is that loop's output bit for bit.  Each later block starting
+    at row M0 spans min(M0 - 1, _BLOCK) rows (16, 32, 64, 128, then 256
+    from M0 = 257 on); it is tilted by the local slope of log Q and solved
+    in linear space: one correlation for the terms that reach back before
+    the block, then triangular solves of _SUB rows inside it.  It yields
+    the O(1) steps D_M, and log Q is their running sum.  A block whose
+    tilted logs leave the float range runs the exact loop instead.
 
     The w == 1 fixed point gives logQ[M] = 0 bit-exactly on both paths.
     """
@@ -373,15 +375,17 @@ def build_partition_table(params: SystemParams, weights: WeightSequence) -> LogP
     log_w = weights.log_w
     logQ = np.zeros(N + 1)
     D = np.empty(N)
-    _exact_rows(log_w, logQ, D, 1, min(N, _BLOCK) + 1)
-    for M0 in range(_BLOCK + 1, N + 1, _BLOCK):
-        M1 = min(M0 + _BLOCK, N + 1)
+    _exact_rows(log_w, logQ, D, 1, min(N, _SUB) + 1)
+    M0 = _SUB + 1
+    while M0 <= N:
+        M1 = min(M0 + min(M0 - 1, _BLOCK), N + 1)
         steps = _tilted_rows(log_w, D, M0, M1)
         if steps is None:
             _exact_rows(log_w, logQ, D, M0, M1)
         else:
             D[M0 - 1 : M1 - 1] = steps
             logQ[M0:M1] = logQ[M0 - 1] + np.cumsum(steps)
+        M0 = M1
     return LogPartitionTable(logQ, weights, params, D)
 
 

@@ -830,6 +830,16 @@ class TestWorkSizeCaps:
         assert f"--N-list is capped at {N_LIST_MAX} sizes" in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [["spectrum"], ["sample", "--draws", "1"]], ids=["spectrum", "sample"])
+    def test_n_above_cap_refused_before_any_weights(self, outdir, capsys, monkeypatch, argv):
+        # the ideal weights alone would be an N-long array; a stand-in fails if asked for them
+        built = []
+        monkeypatch.setattr(WeightSequence, "ideal", classmethod(lambda cls, params: built.append(params)))
+        assert main([*argv, "--rho", "1", "--N", str(N_MAX + 1)]) == EXIT_USAGE
+        assert f"--N must lie in 1..{N_MAX}, got {N_MAX + 1}" in capsys.readouterr().err
+        assert built == []
+        assert list(outdir.iterdir()) == []
+
     @pytest.mark.parametrize("size", [0, N_MAX + 1])
     def test_n_list_size_out_of_range_refused_before_any_table(self, outdir, capsys, monkeypatch, size):
         # the bad size comes last; no earlier size is solved first

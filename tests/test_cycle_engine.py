@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
@@ -566,6 +567,58 @@ class TestSubBlockSolve:
 
     def test_constant_weights_fixed_point_bit_exact(self):
         t = build_partition_table(SystemParams(d=3, L=5.0, N=261, beta=1.0), _const_weights(261))
+        assert np.all(t.logQ == 0.0)
+        assert np.all(t.D == 0.0)
+
+
+def _mp_fractions(log_w, N):
+    """rho_n / rho = w_n Q_{N-n} / (N Q_N) by the recursion in 40-digit
+    mpmath, on the given float weights."""
+    with mp.workdps(40):
+        w = [mp.exp(mp.mpf(float(x))) for x in log_w[:N]]
+        Q = [mp.mpf(1)]
+        for M in range(1, N + 1):
+            Q.append(mp.fsum(w[n] * Q[M - 1 - n] for n in range(M)) / M)
+        return np.array([float(w[n] * Q[N - 1 - n] / (N * Q[N])) for n in range(N)])
+
+
+class TestDoublingBlocks:
+    """The exact loop runs rows 1..16; each later block spans as many rows
+    as precede it, up to 256."""
+
+    @pytest.mark.parametrize("N", [64, 256, 600])
+    def test_fractions_match_mpmath(self, N):
+        # rows 17..256 now come from tilted blocks, whose steps D are not
+        # differences of large logs: 1.3e-12 at N = 600 with a 256-row head
+        p = SystemParams.from_degeneracy(3, N, 2.0, 1.0)
+        w = WeightSequence.ideal(p)
+        fractions = cycle_density_spectrum(build_partition_table(p, w)).fractions
+        assert np.max(np.abs(fractions / _mp_fractions(w.log_w, N) - 1.0)) <= 2e-13
+
+    @pytest.mark.parametrize("N", [17, 33, 100, 257])  # one row past the head and past each block boundary
+    @pytest.mark.parametrize("case", ["below", "above", "lognormal"])
+    def test_only_the_head_runs_the_exact_loop(self, N, case, monkeypatch):
+        if case == "lognormal":
+            p = SystemParams(d=3, L=1.0, N=N, beta=1.0)
+            w = WeightSequence(np.random.default_rng(29).normal(0.0, 1.0, N))
+        else:
+            p = SystemParams.from_degeneracy(3, N, (0.7 if case == "below" else 2.0) * ZETA32, 1.0)
+            w = WeightSequence.ideal(p)
+        exact_blocks = []
+        exact_rows = cycle_engine._exact_rows
+
+        def spy(log_w, logQ, D, M0, M1):
+            exact_blocks.append(M0)
+            exact_rows(log_w, logQ, D, M0, M1)
+
+        monkeypatch.setattr(cycle_engine, "_exact_rows", spy)
+        t = build_partition_table(p, w)
+        assert exact_blocks == [1]
+        assert _rel_log_q_error(t, _exact_log_q(w.log_w, N)) <= 1e-13
+
+    @pytest.mark.parametrize("N", [17, 33, 100, 257])
+    def test_constant_weights_fixed_point_bit_exact(self, N):
+        t = build_partition_table(SystemParams(d=3, L=5.0, N=N, beta=1.0), _const_weights(N))
         assert np.all(t.logQ == 0.0)
         assert np.all(t.D == 0.0)
 

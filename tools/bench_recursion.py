@@ -61,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-LADDER = (4096, 8192, 16000, 32000, 64000, 100000)
+LADDER = (512, 1024, 2048, 4096, 8192, 16000, 32000, 64000, 100000)
 ZETA_3_2 = 2.6123753486854883
 DEGENERACIES = {"below": 0.7 * ZETA_3_2, "above": 2.0 * ZETA_3_2}
 LONGDOUBLE_N_MAX = 16000  # the long-double reference takes ~15 s at 16000, ~90 s at 32000

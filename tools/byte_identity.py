@@ -45,6 +45,8 @@ RUNS = {
     "spectrum": ["spectrum", "--rho-lambda3", "2.0", "--N", "64"],
     "spectrum-weights": ["spectrum", "--L", "2.0", "--N", "8", "--beta", "1.0", "--weights", "{weights.csv}"],
     "spectrum-config": ["spectrum", "--config", "{run.cfg}"],
+    # 20 tilted blocks, the last of 4 rows, compared as a table and not only through seeded draws
+    "spectrum-4100": ["spectrum", "--rho-lambda3", "1.8", "--N", "4100"],
     "scan": ["scan", "--rho-lambda3", "3.0", "--N-list", "16,64,256"],
     "mu-below": ["mu", "--rho-lambda3", "1.0"],
     "mu-at": ["mu", "--rho-lambda3", "2.6123753486854883"],
