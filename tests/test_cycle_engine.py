@@ -588,8 +588,9 @@ class TestDoublingBlocks:
 
     @pytest.mark.parametrize("N", [64, 256, 600])
     def test_fractions_match_mpmath(self, N):
-        # rows 17..256 now come from tilted blocks, whose steps D are not
-        # differences of large logs: 1.3e-12 at N = 600 with a 256-row head
+        # rows past 16 come from tilted blocks, whose steps D are not
+        # differences of large logs; an exact loop over rows 1..256 leaves
+        # 1.3e-12 at N = 600
         p = SystemParams.from_degeneracy(3, N, 2.0, 1.0)
         w = WeightSequence.ideal(p)
         fractions = cycle_density_spectrum(build_partition_table(p, w)).fractions
