@@ -335,22 +335,16 @@ def _tilted_rows(log_w: np.ndarray, D: np.ndarray, M0: int, M1: int) -> np.ndarr
     r = np.empty(rows)
     for s, i0 in enumerate(range(0, rows, _SUB)):
         i1 = min(i0 + _SUB, rows)
+        L = i1 - i0
         rhs = cross[i0:i1]
         if i0:  # the terms from earlier rows of this block
             rhs = rhs + np.correlate(wt[: i1 - 1], r[i0 - 1 :: -1], "valid")
         # one pass of the row formula keeps the w == 1 fixed point bit-exact
-        if i1 - i0 == _SUB:
-            r[i0:i1] = (rhs + T.dot(inv[s].dot(rhs))) / m[s]
-        else:  # the block's last, short leaf
-            L = i1 - i0
-            r[i0:i1] = (rhs + T[:L, :L] @ (inv[s, :L, :L] @ rhs)) / m[s, :L]
-    log_r = np.zeros(rows + 1)  # log r_j, j = M0-1 .. M1-1
-    np.log(r, out=log_r[1:])
+        r[i0:i1] = (rhs + T[:L, :L] @ (inv[s, :L, :L] @ rhs)) / m[s, :L]
+    log_r = np.log(r)
     if not abs(log_r).max() <= _TILT_LOG_MAX:
         return None
-    steps = np.subtract(log_r[1:], log_r[:-1])
-    steps += b
-    return steps
+    return b + np.diff(log_r, prepend=0.0)
 
 
 def build_partition_table(params: SystemParams, weights: WeightSequence) -> LogPartitionTable:

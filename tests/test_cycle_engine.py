@@ -609,12 +609,12 @@ class TestDoublingBlocks:
         exact_rows = cycle_engine._exact_rows
 
         def spy(log_w, logQ, D, M0, M1):
-            exact_blocks.append(M0)
+            exact_blocks.append((M0, M1))
             exact_rows(log_w, logQ, D, M0, M1)
 
         monkeypatch.setattr(cycle_engine, "_exact_rows", spy)
         t = build_partition_table(p, w)
-        assert exact_blocks == [1]
+        assert exact_blocks == [(1, 17)]  # rows 1..16, then tilted blocks only
         assert _rel_log_q_error(t, _exact_log_q(w.log_w, N)) <= 1e-13
 
     @pytest.mark.parametrize("N", [17, 33, 100, 257])
