@@ -35,6 +35,7 @@ import stat
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,7 +65,7 @@ from .potentials import (
     gaussian_potential,
     load_potential,
 )
-from .special_fn import _require_length, thermal_wavelength
+from .special_fn import D_MAX, _require_length, thermal_wavelength
 from .thermo import ScanRow, finite_size_scan, ideal_point
 from .wavefunctions import CycleWaveParams, wave_profile
 
@@ -90,6 +91,58 @@ _CENSUS_CHUNK = 4096  # merger census rows filled per byte matrix
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
+
+
+class _Range(NamedTuple):
+    """The values lo..hi of one numeric flag.  An end left None is not
+    checked here: there is none, or the library names it (N < 1, in
+    SystemParams).  A ``size`` range starts at 1 and refuses a value as
+    "must lie in 1..hi"; any other names the end broken, "must be >= lo"
+    (a float must be finite too) or "is capped at hi".  ``count`` caps the
+    length of a list of sizes."""
+
+    lo: float | None = None
+    hi: float | None = None
+    size: bool = False
+    count: int | None = None
+
+
+# every (subcommand, dest) with a range, checked by main before any work;
+# the flag's help names the same ends
+_RANGES = {
+    **{(command, "N"): _Range(hi=N_MAX, size=True) for command in ("spectrum", "sample")},
+    ("scan", "N_list"): _Range(1, N_MAX, size=True, count=N_LIST_MAX),
+    ("sample", "draws"): _Range(1, DRAWS_MAX),
+    **{(command, "num"): _Range(hi=NUM_MAX) for command in ("gain", "wavefn")},
+    ("oracle", "max_n"): _Range(1, _BRUTE_FORCE_N_MAX, size=True),
+    ("oracle", "trials"): _Range(1, TRIALS_MAX),
+    ("oracle", "tol"): _Range(lo=0),
+    **{(command, "seed"): _Range(lo=0) for command in ("sample", "oracle")},
+}
+
+
+def _check_ranges(args) -> None:
+    """Refuse the first flag of this run that lies outside its _RANGES entry."""
+    for (command, dest), rng in _RANGES.items():
+        value = getattr(args, dest) if command == args.command else None
+        if value is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        items = [value]
+        if rng.count is not None:
+            if len(value) > rng.count:
+                raise ConfigError(f"{flag} is capped at {rng.count} sizes, got {len(value)}")
+            flag, items = f"{flag} sizes", value
+        for v in items:
+            below = rng.lo is not None and not rng.lo <= v < math.inf  # nan and inf too
+            above = rng.hi is not None and v > rng.hi
+            if rng.size and (below or above):
+                raise ConfigError(f"{flag} must lie in 1..{rng.hi}, got {v}")
+            if below:
+                finite = "finite and " if isinstance(v, float) else ""
+                raise ConfigError(f"{flag} must be {finite}>= {rng.lo}, got {v}")
+            if above:
+                raise ConfigError(f"{flag} is capped at {rng.hi}, got {v}")
 
 
 # ----------------------------------------------------------------------
@@ -169,13 +222,9 @@ def _resolve_density(args, lam: float) -> float:
 
 
 def _resolve_system(args) -> SystemParams:
-    """N plus exactly one of --L/--rho/--rho-lambda3 fix the box.  N above
-    N_MAX is refused before any weights are allocated; N < 1 is left to
-    SystemParams, which names it."""
+    """N plus exactly one of --L/--rho/--rho-lambda3 fix the box."""
     if args.N is None:
         raise ConfigError("--N is required")
-    if args.N > N_MAX:
-        raise ConfigError(f"--N must lie in 1..{N_MAX}, got {args.N}")
     beta, lam = _resolve_thermal(args)
     given = [v for v in (args.L, args.rho, args.rho_lambda3) if v is not None]
     if len(given) != 1:
@@ -183,26 +232,6 @@ def _resolve_system(args) -> SystemParams:
     if args.L is not None:
         return SystemParams(d=args.d, L=args.L, N=args.N, beta=beta)
     return SystemParams.from_density(args.d, args.N, _resolve_density(args, lam), beta)
-
-
-def _resolve_num(args) -> int:
-    """--num of gain and wavefn, capped at NUM_MAX before any grid exists."""
-    if args.num > NUM_MAX:
-        raise ConfigError(f"--num is capped at {NUM_MAX}, got {args.num}")
-    return args.num
-
-
-def _resolve_n_list(args) -> list[int]:
-    """--N-list of scan: at most N_LIST_MAX sizes, each in 1..N_MAX,
-    checked before the first table is built."""
-    if args.N_list is None or not args.N_list:
-        raise ConfigError("--N-list is required (comma-separated system sizes)")
-    if len(args.N_list) > N_LIST_MAX:
-        raise ConfigError(f"--N-list is capped at {N_LIST_MAX} sizes, got {len(args.N_list)}")
-    for N in args.N_list:
-        if not 1 <= N <= N_MAX:
-            raise ConfigError(f"--N-list sizes must lie in 1..{N_MAX}, got {N}")
-    return args.N_list
 
 
 def _weights_and_system(args, params: SystemParams) -> tuple[WeightSequence, dict]:
@@ -435,14 +464,15 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    N_list = _resolve_n_list(args)
+    if args.N_list is None:
+        raise ConfigError("--N-list is required (comma-separated system sizes)")
     beta, lam = _resolve_thermal(args)
     rho = _resolve_density(args, lam)
-    rows = finite_size_scan(rho, beta, args.d, N_list, args.eps)
+    rows = finite_size_scan(rho, beta, args.d, args.N_list, args.eps)
     config = {
         "command": "scan",
         "d": args.d,
-        "N_list": N_list,
+        "N_list": args.N_list,
         "rho": rho,
         "beta": beta,
         "lam": lam,
@@ -508,10 +538,6 @@ def cmd_bounds(args) -> int:
 
 def cmd_sample(args) -> int:
     params = _resolve_system(args)
-    if args.draws < 1:
-        raise ConfigError(f"--draws must be >= 1, got {args.draws}")
-    if args.draws > DRAWS_MAX:
-        raise ConfigError(f"--draws is capped at {DRAWS_MAX}, got {args.draws}")
     weights, system = _weights_and_system(args, params)
     table = build_partition_table(params, weights)
     cycle_types = _cycle_types(table, np.random.default_rng(args.seed))
@@ -545,12 +571,8 @@ def cmd_sample(args) -> int:
 def cmd_merger(args) -> int:
     vertices, max_mult = args.vertices, args.max_multiplicity
     census = enumerate_merger_graphs(vertices, max_mult, cross_check=args.cross_check)
-    config = {
-        "command": "merger",
-        "vertices": vertices,
-        "max_multiplicity": max_mult,
-        "cross_check": args.cross_check,
-    }
+    keys = ("vertices", "max_multiplicity", "cross_check")
+    config = {"command": "merger", **{key: getattr(args, key) for key in keys}}
     header = [f"m{i}{j}" for i, j in itertools.combinations(range(vertices), 2)] + ["delta", "K"]
     payload = {
         "total": census.total,
@@ -573,23 +595,13 @@ def cmd_gain(args) -> int:
         if getattr(args, name) is None:
             raise ConfigError(f"--{name.replace('_', '-')} is required")
     _, lam = _resolve_thermal(args)
-    num = _resolve_num(args)
     params = CouplingParams(
         c=args.c, rho_v=args.rho_v, lam=lam, rho=args.rho, d=args.d, eps=args.eps, c1=args.c1
     )
     opt = optimize_coupling(params)
-    rows = coupling_sweep(params, num)
-    config = {
-        "command": "gain",
-        "c": params.c,
-        "rho_v": params.rho_v,
-        "lam": params.lam,
-        "rho": params.rho,
-        "d": params.d,
-        "eps": params.eps,
-        "c1": params.c1,
-        "num": num,
-    }
+    rows = coupling_sweep(params, args.num)
+    fields = ("c", "rho_v", "lam", "rho", "d", "eps", "c1")
+    config = {"command": "gain", **{key: getattr(params, key) for key in fields}, "num": args.num}
     header = ("a", "gain", "penalty", "total")
     payload = {
         "a_star": opt.a_star,
@@ -609,14 +621,6 @@ def cmd_gain(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if not 1 <= args.max_n <= _BRUTE_FORCE_N_MAX:
-        raise ConfigError(f"--max-n must lie in 1..{_BRUTE_FORCE_N_MAX}, got {args.max_n}")
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    if args.trials > TRIALS_MAX:
-        raise ConfigError(f"--trials is capped at {TRIALS_MAX}, got {args.trials}")
-    if not 0.0 <= args.tol < math.inf:
-        raise ConfigError(f"--tol must be finite and >= 0, got {args.tol}")
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
@@ -629,13 +633,7 @@ def cmd_oracle(args) -> int:
             rel = abs(math.exp(table.logQ[N]) - exact) / exact
             rows.append((trial, N, rel))
             worst = max(worst, rel)
-    config = {
-        "command": "oracle",
-        "max_n": args.max_n,
-        "trials": args.trials,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
+    config = {"command": "oracle", **{key: getattr(args, key) for key in ("max_n", "trials", "seed", "tol")}}
     header = ("trial", "N", "rel_err")
     payload = {"worst_rel_err": worst, "rows": [dict(zip(header, row)) for row in rows]}
     path = _emit(args, config, header, rows, payload)
@@ -655,9 +653,8 @@ def cmd_wavefn(args) -> int:
         if getattr(args, name) is None:
             raise ConfigError(f"--{name} is required")
     _, lam = _resolve_thermal(args)
-    num = _resolve_num(args)
     params = CycleWaveParams(n=args.n, L=args.L, lam=lam, y=tuple(args.y), xbar=tuple(args.xbar))
-    rows = wave_profile(params, axis=args.axis, num=num)
+    rows = wave_profile(params, axis=args.axis, num=args.num)
     config = {
         "command": "wavefn",
         "n": params.n,
@@ -666,7 +663,7 @@ def cmd_wavefn(args) -> int:
         "y": list(params.y),
         "xbar": list(params.xbar),
         "axis": args.axis,
-        "num": num,
+        "num": args.num,
     }
     header = ("x", "re_psi", "im_psi", "abs2")
     path = _emit(args, config, header, rows, _columns(header, rows))
@@ -691,8 +688,12 @@ def _add_thermal(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lam", type=float, help="thermal wavelength (default 1 if beta absent)")
 
 
+def _add_dimension(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", type=int, default=3, help=f"dimension (default 3, max {D_MAX})")
+
+
 def _add_density(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d", type=int, default=3, help="dimension (default 3)")
+    _add_dimension(p)
     p.add_argument("--rho", type=float, help="number density")
     p.add_argument("--rho-lambda3", dest="rho_lambda3", type=float, help="rho*lam^3 (d = 3)")
     _add_thermal(p)
@@ -700,7 +701,7 @@ def _add_density(p: argparse.ArgumentParser) -> None:
 
 def _add_system(p: argparse.ArgumentParser) -> None:
     _add_density(p)
-    p.add_argument("--N", type=int, help=f"particle number (1..{N_MAX})")
+    p.add_argument("--N", type=int, help="particle number (1..{hi})")
     p.add_argument("--L", type=float, help="box side (exactly one of L/rho/rho-lambda3)")
 
 
@@ -726,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--N-list",
         dest="N_list",
         type=_int_list,
-        help=f"comma-separated sizes (at most {N_LIST_MAX}, each 1..{N_MAX})",
+        help="comma-separated sizes (at most {count}, each 1..{hi})",
     )
     p.add_argument("--eps", type=float, default=0.01, help="macroscopic-cycle threshold (default 0.01)")
     _add_common(p)
@@ -746,10 +747,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="exact cycle-type draws from the canonical distribution")
     _add_system(p)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument(
-        "--draws", type=int, default=1, help=f"number of cycle types to draw (default 1, max {DRAWS_MAX})"
-    )
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0, >= {lo})")
+    p.add_argument("--draws", type=int, default=1, help="number of cycle types to draw (default 1, max {hi})")
     p.add_argument("--weights", help="CSV of custom cycle weights (n,w), used verbatim")
     _add_common(p)
     p.set_defaults(func=cmd_sample)
@@ -785,27 +784,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, help="coupled fraction of particles")
     p.add_argument("--rho-v", dest="rho_v", type=float, help="weight scale rho*v")
     p.add_argument("--rho", type=float, help="number density")
-    p.add_argument("--d", type=int, default=3, help="dimension (default 3)")
+    _add_dimension(p)
     _add_thermal(p)
     p.add_argument("--eps", type=float, default=0.25, help="surviving-weight fraction (default 0.25)")
     p.add_argument("--c1", type=float, default=1.0, help="fluctuation-penalty constant (default 1)")
-    p.add_argument("--num", type=int, default=101, help=f"sweep grid size (default 101, max {NUM_MAX})")
+    p.add_argument("--num", type=int, default=101, help="sweep grid size (default 101, max {hi})")
     _add_common(p)
     p.set_defaults(func=cmd_gain)
 
     p = sub.add_parser("oracle", help="recursion vs brute-force enumeration (CI gate)")
     p.add_argument(
-        "--max-n",
-        dest="max_n",
-        type=int,
-        default=8,
-        help=f"largest N enumerated (default 8, max {_BRUTE_FORCE_N_MAX})",
+        "--max-n", dest="max_n", type=int, default=8, help="largest N enumerated (default 8, max {hi})"
     )
+    p.add_argument("--trials", type=int, default=5, help="random weight sequences (default 5, max {hi})")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0, >= {lo})")
     p.add_argument(
-        "--trials", type=int, default=5, help=f"random weight sequences (default 5, max {TRIALS_MAX})"
+        "--tol", type=float, default=1e-10, help="relative tolerance (default 1e-10, finite and >= {lo})"
     )
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--tol", type=float, default=1e-10, help="relative tolerance (default 1e-10)")
     _add_common(p)
     p.set_defaults(func=cmd_oracle)
 
@@ -818,12 +813,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--xbar", type=_float_list, default=(), help="momentum shift vector (default zero)"
     )
     p.add_argument("--axis", type=int, default=0, help="profile axis (default 0)")
-    p.add_argument(
-        "--num", type=int, default=257, help=f"samples along the axis (default 257, max {NUM_MAX})"
-    )
+    p.add_argument("--num", type=int, default=257, help="samples along the axis (default 257, max {hi})")
     _add_common(p)
     p.set_defaults(func=cmd_wavefn)
 
+    # the help of a flag with a range names the table's ends
+    for (command, dest), rng in _RANGES.items():
+        (action,) = [a for a in sub.choices[command]._actions if a.dest == dest]
+        action.help = action.help.format(**rng._asdict())
     return parser
 
 
@@ -835,6 +832,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             # config entries go ahead of the command-line flags, so the flags win
             args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
+        _check_ranges(args)
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .special_fn import _require_dimension
+
 __all__ = [
     "MergerMultigraph",
     "CouplingParams",
@@ -236,8 +238,7 @@ class CouplingParams:
             raise ValueError(f"thermal wavelength must be positive and finite, got {self.lam}")
         if not 0.0 < self.rho < math.inf:
             raise ValueError(f"density must be positive and finite, got {self.rho}")
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
+        _require_dimension(self.d)
         if not self.penalty_scale < math.inf:
             raise ValueError("penalty scale c1 lam^2 rho^(2/d) overflows")
 

@@ -34,7 +34,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .special_fn import _require_length, log_q_weights, thermal_wavelength
+from .special_fn import _require_dimension, _require_length, log_q_weights, thermal_wavelength
 
 __all__ = [
     "N_MAX",
@@ -85,8 +85,7 @@ class SystemParams:
     beta: float
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
+        _require_dimension(self.d)
         if self.N < 1:
             raise ValueError(f"particle count must be >= 1, got {self.N}")
         _require_length("box side", "L", self.L, 2, self.d)
@@ -109,8 +108,7 @@ class SystemParams:
 
     @classmethod
     def from_density(cls, d: int, N: int, rho: float, beta: float) -> "SystemParams":
-        if d < 1:
-            raise ValueError(f"dimension must be >= 1, got {d}")
+        _require_dimension(d)
         if not rho > 0.0:
             raise ValueError(f"density must be positive, got {rho}")
         return cls(d=d, L=(N / rho) ** (1.0 / d), N=N, beta=beta)

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cycle_engine import SystemParams, WeightSequence, build_partition_table
-from .special_fn import _require_length, thermal_wavelength, zeta
+from .special_fn import _require_dimension, _require_length, thermal_wavelength, zeta
 from .thermo import UnsupportedDimensionError, _require_condensing_dimension, ideal_free_energy_density
 
 __all__ = [
@@ -105,8 +105,7 @@ class PairPotential:
     kind: str = "custom"
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
+        _require_dimension(self.d)
         if not np.isfinite([self.u0, self.uhat0, self.norm1]).all():
             raise ValueError(f"u0 = {self.u0}, uhat0 = {self.uhat0}, norm1 = {self.norm1}: not all finite")
         if self.uhat0 > self.norm1 * (1.0 + 1e-12):

@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
+    "D_MAX",
     "thermal_wavelength",
     "theta1d",
     "theta1d_shifted",
@@ -61,6 +62,12 @@ _BERNOULLI_2K_OVER_FACTORIAL = (
 )
 _EULER_GAMMA = 0.5772156649015329
 
+# Largest dimension d.  Up to it sum rho_n = rho holds within 2.6e-14 on a
+# ladder of N from 1 to N_MAX at rho = lambda = 1 (1.7e-12 at d = 10^5), and
+# the constants of the free-energy bounds stay finite, as past d ~ 2050 they
+# do not.
+D_MAX = 1000
+
 
 def thermal_wavelength(beta: float) -> float:
     """Thermal de Broglie wavelength sqrt(2*pi*beta) in units hbar = m = 1."""
@@ -68,6 +75,14 @@ def thermal_wavelength(beta: float) -> float:
     if not beta > 0.0 or math.isinf(beta):
         raise ValueError(f"beta must be positive and finite, got {beta}")
     return math.sqrt(2.0 * math.pi * beta)
+
+
+def _require_dimension(d: int) -> None:
+    """Reject a dimension outside 1..D_MAX."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    if d > D_MAX:
+        raise ValueError(f"dimension must be <= {D_MAX}, got {d}")
 
 
 def _require_length(what: str, symbol: str, value: float, *exponents: int) -> None:
@@ -187,38 +202,17 @@ def _exp1_series(x: float) -> float:
             return -_EULER_GAMMA - math.log(x) - total
 
 
-def _upper_gamma_fraction(p: float, x: float) -> float:
-    # Gamma(p, x) = x^p e^{-x} / (x + 1 - p - 1 (1-p) / (x + 3 - p - 2 (2-p) / (x + 5 - p - ...)))
-    # (DLMF 8.9.2, even part), any real p, x >= 1.  Each depth is evaluated
-    # from the bottom, which keeps the rounding at a few ulps where a forward
-    # (Lentz) pass accumulates ~1e-14; the depth doubles until two agree.
-    def denominator(depth: int) -> float:
-        tail = 0.0
-        for i in range(depth, 0, -1):
-            tail = -i * (i - p) / (x + 1.0 - p + 2 * i + tail)
-        return x + 1.0 - p + tail
-
-    depth, previous = 16, denominator(8)
-    while True:
-        current = denominator(depth)
-        if not abs(current - previous) > 1e-15 * abs(current):  # NaN ends it too
-            return x**p * math.exp(-x) / current
-        depth, previous = 2 * depth, current
-
-
 def _power_exp_integral(s: float, t: float, a: float) -> float:
-    # int_a^inf x^{-s} e^{-t x} dx = t^{s-1} Gamma(1-s, t a).  From t a = 1 on
-    # the continued fraction gives Gamma(p, .), p = 1-s, directly; below, the
-    # series gives Gamma(q, .) = Gamma(q) - gamma(q, .) at q = p+k >= 1 (k = 0
-    # once p >= 1), lowered to p by Gamma(p, x) = [Gamma(p+1, x) - x^p e^{-x}] / p,
+    # int_a^inf x^{-s} e^{-t x} dx = t^{s-1} Gamma(1-s, t a) for 0 <= t a < 1,
+    # which holds all of _power_exp_sum's calls (a = 10, t < 0.0101).  The
+    # series gives Gamma(q, .) = Gamma(q) - gamma(q, .) at q = p+k >= 1, p = 1-s
+    # (k = 0 once p >= 1), lowered to p by Gamma(p, x) = [Gamma(p+1, x) - x^p e^{-x}] / p,
     # which is stable there as x^p dominates.  Within ~4e-15 relative for
-    # s in [1.5, 9] and 0 < t a <= 45 (tested against mpmath).
+    # s in [1.5, 9] (tested against mpmath).
     if t == 0.0:
         return a * a**-s / (s - 1.0)
     x = t * a
     p = 1.0 - s
-    if x >= 1.0:
-        return t ** (s - 1.0) * _upper_gamma_fraction(p, x)
     if math.isnan(p):
         return math.nan  # math.ceil below cannot take it
     k = max(0, math.ceil(-p) + 1)
@@ -283,7 +277,11 @@ def polylog(s: float, z: float) -> float:
     polylog(s, 1) == zeta(s).  The remainder after the corrections is far
     below double precision, so only the rounding of the terms shows: within
     1e-15 relative of mpmath for z in (0.99, 1], tested at orders s from
-    -2.5 to 9 and for zeta over s in (1, 10].
+    -2.5 to 9 and for zeta over s in (1, 10].  The package needs only the
+    orders d/2 and 1 + d/2.  Near z = 1 an order far below zero has a
+    value beyond the float range: it comes out inf (s = -100, z = 0.995),
+    or raises OverflowError once a head term n^{-s} itself overflows
+    (s = -400, z = 0.995).
     """
     s = float(s)
     z = float(z)

@@ -25,7 +25,7 @@ from .cycle_engine import (
     build_partition_table,
     cycle_density_spectrum,
 )
-from .special_fn import _require_length, polylog, thermal_wavelength, zeta
+from .special_fn import _require_dimension, _require_length, polylog, thermal_wavelength, zeta
 
 __all__ = [
     "UnsupportedDimensionError",
@@ -62,6 +62,7 @@ def _require_condensing_dimension(d: int) -> None:
         raise UnsupportedDimensionError(
             f"condensation quantities require d >= 3 (no condensation for d = {d})"
         )
+    _require_dimension(d)
 
 
 def _certified_series(log_w: np.ndarray, t: float, s: float, what: str) -> float:

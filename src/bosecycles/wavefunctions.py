@@ -47,6 +47,10 @@ class CycleWaveParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"cycle length must be >= 1, got {self.n}")
+        try:
+            float(self.n)  # a_num and a_den are floats
+        except OverflowError:
+            raise ValueError(f"cycle length n = {self.n} is beyond the float range") from None
         _require_length("box side", "L", self.L, 2)
         _require_length("thermal wavelength", "lambda", self.lam, 2)
         y = tuple(float(c) % self.L for c in np.atleast_1d(np.asarray(self.y, dtype=float)))

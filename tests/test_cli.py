@@ -27,6 +27,7 @@ from bosecycles.cycle_engine import (
     build_partition_table,
     cycle_density_spectrum,
 )
+from bosecycles.special_fn import D_MAX
 from bosecycles.thermo import finite_size_scan
 from bosecycles.wavefunctions import CycleWaveParams, psi_shifted
 
@@ -600,6 +601,26 @@ class TestFailedRuns:
         assert list(outdir.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # the Gaussian sandwich's constants overflowed past d ~ 2050 (exit 1)
+            (["bounds", "--potential", "gaussian:1,1", "--rho", "1", "--d", "2100"], "got 2100"),
+            # the spectrum ran and wrote Infinity into the JSON (exit 0)
+            (["spectrum", "--N", "5", "--rho", "1", "--d", str(10**23)], f"got {10**23}"),
+            # a_num overflowed converting n to a float (exit 1)
+            (["wavefn", "--n", str(10**400), "--L", "1", "--y", "0.1"], f"cycle length n = {10**400} "),
+            # numpy refused the seed without naming the flag
+            (["sample", "--rho", "1", "--N", "5", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["oracle", "--max-n", "3", "--trials", "1", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        ],
+        ids=["bounds-d", "spectrum-d", "wavefn-n", "sample-seed", "oracle-seed"],
+    )
+    def test_out_of_range_input_named(self, outdir, capsys, argv, message):
+        assert main([*argv, "--format", "json"]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["mu", "--rho", "1", "--lam", "1e150"],
@@ -943,6 +964,7 @@ CAPPED_FLAGS = {
     ("wavefn", "--num"): f"max {NUM_MAX}",
     ("oracle", "--max-n"): f"max {_BRUTE_FORCE_N_MAX}",
     ("oracle", "--trials"): f"max {TRIALS_MAX}",
+    **{(command, "--d"): f"max {D_MAX}" for command in ("spectrum", "scan", "mu", "bounds", "sample", "gain")},
 }
 
 

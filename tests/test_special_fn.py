@@ -14,7 +14,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from bosecycles.coupling import CouplingParams
+from bosecycles.cycle_engine import SystemParams
+from bosecycles.potentials import gaussian_potential
 from bosecycles.special_fn import (
+    D_MAX,
     _power_exp_integral,
     log_q_weights,
     polylog,
@@ -174,7 +178,7 @@ class TestPolylog:
         assert all(x < y for x, y in zip(vals, vals[1:]))
 
     def test_saturation_matches_zeta(self):
-        # dual route: series+tail at z=1 versus scipy's zeta
+        # polylog at z=1 against zeta, both the t = 0 Euler-Maclaurin sum
         assert polylog(1.5, 1.0) == pytest.approx(zeta(1.5), rel=1e-12)
         assert polylog(2.5, 1.0) == pytest.approx(zeta(2.5), rel=1e-12)
 
@@ -229,13 +233,14 @@ class TestZeta:
 
 
 class TestPowerExpIntegral:
-    # int_a^inf x^{-s} e^{-t x} dx = t^{s-1} Gamma(1-s, t a), at the head
-    # length a = 10^4 + 1 of polylog's Euler-Maclaurin branch
+    # int_a^inf x^{-s} e^{-t x} dx = t^{s-1} Gamma(1-s, t a) for x = t a < 1,
+    # the range polylog's Euler-Maclaurin tail reaches (a = 10, x < 0.101);
+    # a = 10^4 + 1 takes t down to 1e-16
     A = 10_001.0
 
     @pytest.mark.parametrize("s", [1.5, 2.0, 2.5, 3.0, 3.5])  # d/2 and 1 + d/2, d = 3..5
     def test_against_mpmath(self, s):
-        xs = [*np.geomspace(1e-12, 45.0, 40), *np.linspace(0.5, 2.0, 7), 45.0]
+        xs = [x for x in [*np.geomspace(1e-12, 45.0, 40), *np.linspace(0.5, 2.0, 7)] if x < 1.0]
         for x in xs:
             t = float(x) / self.A
             want = mp.mpf(t) ** (s - 1) * mp.gammainc(1 - s, mp.mpf(t) * self.A)
@@ -243,6 +248,27 @@ class TestPowerExpIntegral:
 
     def test_zero_rate(self):
         assert _power_exp_integral(2.5, 0.0, self.A) == pytest.approx(self.A**-1.5 / 1.5, rel=1e-15)
+
+
+class TestDimensionBound:
+    # one bound on d, held by special_fn and met by every constructor that takes a d
+    MAKERS = {
+        "SystemParams": lambda d: SystemParams(d=d, L=1.0, N=5, beta=1.0 / (2.0 * math.pi)),
+        "SystemParams.from_density": lambda d: SystemParams.from_density(d, 5, 1.0, 1.0 / (2.0 * math.pi)),
+        "CouplingParams": lambda d: CouplingParams(c=0.5, rho_v=50.0, lam=1.0, rho=1.0, d=d),
+        "gaussian_potential": lambda d: gaussian_potential(1.0, 1.0, d=d),
+    }
+
+    @pytest.mark.parametrize("maker", list(MAKERS))
+    def test_first_dimension_above_the_bound_refused(self, maker):
+        assert self.MAKERS[maker](D_MAX).d == D_MAX
+        with pytest.raises(ValueError, match=f"dimension must be <= {D_MAX}, got {D_MAX + 1}$"):
+            self.MAKERS[maker](D_MAX + 1)
+
+    @pytest.mark.parametrize("maker", list(MAKERS))
+    def test_dimension_below_one_refused(self, maker):
+        with pytest.raises(ValueError, match="dimension must be >= 1, got 0$"):
+            self.MAKERS[maker](0)
 
 
 class TestTorusWeights:

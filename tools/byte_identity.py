@@ -87,6 +87,11 @@ RUNS = {
     "wavefn-direct": ["wavefn", "--n", "40", "--L", "2", "--y", "0.5,0.1,0.3", "--xbar", "0.3,0.7,1.1", "--num", "64"],
     # a_num = 2500 with a momentum shift: the shifted theta alone underflows
     "wavefn-long": ["wavefn", "--n", "5000", "--L", "1", "--y", "0.5", "--xbar", "1.885", "--num", "16"],
+    # refused by the dimension bound, the cycle-length float check and the range table
+    "bounds-d-2100": ["bounds", "--potential", "gaussian:1,1", "--rho", "1", "--d", "2100"],
+    "spectrum-d-huge": ["spectrum", "--N", "5", "--rho", "1", "--d", str(10**23)],
+    "wavefn-n-huge": ["wavefn", "--n", str(10**400), "--L", "1", "--y", "0.1"],
+    "sample-seed-negative": ["sample", "--rho", "1", "--N", "5", "--seed", "-1"],
 }
 FORMATS = ("csv", "json")
 
