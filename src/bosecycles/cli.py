@@ -65,7 +65,7 @@ from .potentials import (
     gaussian_potential,
     load_potential,
 )
-from .special_fn import D_MAX, _require_length, thermal_wavelength
+from .special_fn import D_MAX, _require_dimension, _require_length, thermal_wavelength
 from .thermo import ScanRow, finite_size_scan, ideal_point
 from .wavefunctions import CycleWaveParams, wave_profile
 
@@ -191,7 +191,10 @@ def _resolve_thermal(args) -> tuple[float, float]:
     """(beta, lam) from at most one of --beta/--lam; neither means lam = 1.
 
     lam^2, lam^3 and lam^d must be normal floats: every subcommand forms
-    one of them (beta, rho lam^3, the degeneracy)."""
+    one of them (beta, rho lam^3, the degeneracy).  d is checked first, so
+    a d out of range is named as such and not as an overflow of lam^d."""
+    d = getattr(args, "d", 3)
+    _require_dimension(d)
     if args.beta is not None and args.lam is not None:
         raise ConfigError("give exactly one of --beta and --lam, got both")
     if args.beta is not None:
@@ -200,7 +203,7 @@ def _resolve_thermal(args) -> tuple[float, float]:
         lam = 1.0 if args.lam is None else args.lam
         if not lam > 0.0:
             raise ConfigError(f"lam must be positive, got {lam}")
-    _require_length("thermal wavelength", "lambda", lam, 2, 3, getattr(args, "d", 3))
+    _require_length("thermal wavelength", "lambda", lam, 2, 3, d)
     beta = lam**2 / (2.0 * math.pi) if args.beta is None else args.beta
     return beta, lam
 

@@ -12,12 +12,17 @@ logs are subtracted and sum_n rho_n = rho holds to 1e-12 up to the cap.
 
 The recursion is O(N^2), capped at N <= 10^5.  Rows 1..16 run the exact
 log-space loop; the rows after them come in blocks that each span as
-many rows as precede them, up to 256 (16, 32, 64, 128, then 256 from
-row 257 on).  Each block is tilted by the local slope of log Q (the
-scaling identity w_n -> c^n w_n makes the tilt exact), takes its terms
-from all earlier rows in one correlation, and solves its own rows 16 at
-a time, each 16 with a precomputed nonnegative inverse of their
-triangular system.  The cap takes well under a second.
+many rows as precede them up to 256 (16, 32, 64, 128, 256), and past
+row 512 as many as keep the drift of log Q from the block's tilt near
+30 over the block, judged by the curvature of D over the block before:
+256 to 4096 rows, in steps of 64.  Each block is tilted by the local
+slope of log Q (the scaling identity w_n -> c^n w_n makes the tilt
+exact) and takes its terms from all earlier rows in one cross term: a
+correlation, or in long blocks matrix products over tiles of 64 lags.
+It solves its own rows a leaf at a time, 16 rows in blocks of up to 256
+rows and 64 in longer ones, each leaf with a precomputed nonnegative
+inverse of its triangular system (merged from 16-row inverses in long
+blocks).  The cap takes about a third of a second.
 
 Exact cycle types are drawn by chop-down inversion of the same law:
 each step walks n = 1, 2, ... over the terms w_n Q_{M-n}/Q_M, so a draw
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .special_fn import _require_dimension, _require_length, log_q_weights, thermal_wavelength
 
@@ -55,20 +61,39 @@ __all__ = [
 
 N_MAX = 100_000  # O(N^2) recursion cost cap
 
-_BLOCK = 256  # most rows in one tilted block of the recursion
 # Tilted blocks keep every factor and every result within e^{+-150} and flush
 # factors below e^{-350} to zero: products of kept factors are normal floats,
 # and a flushed term is below e^{-200}, far under the resolution of a sum
 # that is at least e^{-150}.
 _TILT_LOG_MAX = 150.0
 _FLUSH_LOG = 350.0
-_SUB = 16  # rows per triangular solve inside a tilted block; the inverse below assumes 16
-# lags a - c of a sub-block's rows and columns, and the weight index of each
-# lag below the diagonal (0 elsewhere, where it is masked)
-_LAG = np.subtract.outer(np.arange(_SUB), np.arange(_SUB))
+# Rows per tilted block: the head doubles up to _BLOCK_MIN; past it a block
+# is sized so that log r drifts by about _TILT_LOG_MAX/5 over it, in steps
+# of _LEAF rows and at most _BLOCK_MAX (which bounds the temporaries and
+# the R^2/2 terms coupling a block's own rows).
+_BLOCK_MIN = 256
+_BLOCK_MAX = 4096
+# Rows solved together: _SUB in blocks of up to _BLOCK_MIN rows, _LEAF in
+# longer ones, whose inverses are merged from four _SUB-row inverses.  On a
+# 2-core box 64-row leaves were slower than 16-row ones on blocks of 64 to
+# 256 rows.
+_SUB = 16
+_LEAF = 64
+# lags a - c of a leaf's rows and columns, and the weight index of each lag
+# below the diagonal (0 elsewhere, where it is masked)
+_LAG = np.subtract.outer(np.arange(_LEAF), np.arange(_LEAF))
 _BELOW = _LAG > 0
 _LAG_INDEX = np.where(_BELOW, _LAG - 1, 0)
 _EYE = np.eye(_SUB)
+# Cross terms: np.correlate below rows * k = 2^22, where it measured as fast
+# or faster on a 2-core box (at 1216 rows and k = 1782, 0.32 against 0.6 ms;
+# at 1024 rows and k = 8000, 1.8-2.4 against 0.8-0.9 ms); from there on,
+# matrix products over lag tiles of _TAU, each product's copied Hankel
+# factor near _TILE_FLOATS * 8 bytes = 2 MB.
+_PRODUCT_MIN = 1 << 22
+_TAU = 64
+_ROW_TILE = 2048
+_TILE_FLOATS = 1 << 18
 
 WEIGHT_TAGS = ("ideal", "dcp-lower", "dcp-upper", "custom")
 
@@ -291,6 +316,82 @@ def _last_kept(log_x: np.ndarray) -> int:
     return log_x.size - 1 - i if kept[i] else 0
 
 
+def _cross(wt: np.ndarray, r_rev: np.ndarray, rows: int) -> np.ndarray:
+    """cross[i] = sum_q wt[i + q] r_rev[q] for i < rows and q < k = r_rev.size,
+    that is np.correlate(wt[: rows - 1 + k], r_rev, "valid"), taken as
+    matrix products (_cross_product) from rows * k = _PRODUCT_MIN on."""
+    k = r_rev.size
+    if rows * k < _PRODUCT_MIN:
+        return np.correlate(wt[: rows - 1 + k], r_rev, "valid")
+    return _cross_product(wt, r_rev, rows)
+
+
+def _cross_product(wt: np.ndarray, r_rev: np.ndarray, rows: int) -> np.ndarray:
+    """_cross from matrix products: the lags come in tiles of _TAU, and with
+    R[Q, t] = r_rev[_TAU Q + t] and the Hankel A[Q, u] = wt[_TAU Q + u] the
+    product S = R^T A sums the terms of each lag residue t, so cross[i] =
+    sum_t S[t, i + t], summed pairwise over t.  Output rows come _ROW_TILE at a time and the lag
+    tiles in chunks, so that each copied A holds about _TILE_FLOATS floats.
+    """
+    k = r_rev.size
+    tiles = -(-k // _TAU)
+    R = np.zeros(tiles * _TAU)
+    R[:k] = r_rev
+    R = R.reshape(tiles, _TAU)
+    w = np.zeros(rows - 1 + tiles * _TAU)  # wt, zero past the lags it is paired with
+    w[: rows - 1 + k] = wt[: rows - 1 + k]
+    cross = np.empty(rows)
+    for i0 in range(0, rows, _ROW_TILE):
+        i1 = min(i0 + _ROW_TILE, rows)
+        width = i1 - i0 + _TAU - 1
+        chunk = max(1, _TILE_FLOATS // width)
+        S = np.zeros((_TAU, width))
+        for q0 in range(0, tiles, chunk):
+            q1 = min(q0 + chunk, tiles)
+            start = i0 + _TAU * q0
+            # the copy makes the Hankel factor one that matmul hands to BLAS
+            A = np.ascontiguousarray(sliding_window_view(w[start : start + _TAU * (q1 - q0 - 1) + width], width)[::_TAU])
+            S += R[q0:q1].T @ A
+        diagonals = as_strided(S, shape=(_TAU, i1 - i0), strides=(S.strides[0] + S.itemsize, S.itemsize))
+        while diagonals.shape[0] > 1:  # pairwise, so that the sums keep np.correlate's accuracy
+            diagonals = diagonals[0::2] + diagonals[1::2]
+        cross[i0:i1] = diagonals[0]
+    return cross
+
+
+def _leaf_inverses(T: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(diag(m[s]) - T)^{-1} for each leaf s, T lower triangular and >= 0.
+
+    Each _SUB rows take (I + N)(I + N^2)(I + N^4)(I + N^8) diag(1/m) with
+    N = T/m (rows scaled; N^16 = 0).  In longer leaves these sit on the
+    diagonal, and two consecutive inverses A^{-1}, B^{-1} merge into
+    [[A^{-1}, 0], [B^{-1} C A^{-1}, B^{-1}]], C the block of T below them,
+    until they span the leaf.  Every factor is >= 0, so nothing cancels.
+    """
+    leaves, leaf = m.shape
+    subs = m.reshape(-1, _SUB)
+    power = T[:_SUB, :_SUB] / subs[:, :, None]
+    inv = _EYE + power
+    for _ in range(3):  # N^2, N^4, N^8
+        power = power @ power
+        inv += inv @ power
+    inv /= subs[:, None, :]
+    if leaf == _SUB:
+        return inv
+    per = leaf // _SUB
+    merged = np.zeros((leaves, leaf, leaf))
+    diagonal = merged.reshape(leaves, per, _SUB, per, _SUB)
+    for j in range(per):
+        diagonal[:, j, :, j] = inv[j::per]
+    s = _SUB
+    while s < leaf:
+        for j in range(0, leaf, 2 * s):
+            first, second = slice(j, j + s), slice(j + s, j + 2 * s)
+            merged[:, second, first] = merged[:, second, second] @ T[s : 2 * s, :s] @ merged[:, first, first]
+        s *= 2
+    return merged
+
+
 def _tilted_rows(log_w: np.ndarray, D: np.ndarray, M0: int, M1: int) -> np.ndarray | None:
     """D_M for M = M0..M1-1 from the recursion tilted by b = D_{M0-1}.
 
@@ -298,7 +399,8 @@ def _tilted_rows(log_w: np.ndarray, D: np.ndarray, M0: int, M1: int) -> np.ndarr
     recursion keeps its form, M r_M = sum_n w~_n r_{M-n}, and both factors
     stay near 1 where log Q bends slowly.  log r_j for j < M0 is a
     reversed cumsum of D - b.  The terms from before the block come from
-    one correlation; the block's own rows are solved _SUB at a time.
+    one cross term (_cross); the block's own rows are solved a leaf of
+    _SUB rows at a time, or of _LEAF rows in blocks longer than _BLOCK_MIN.
     Returns None when a factor or a result would pass e^{+-_TILT_LOG_MAX}.
     """
     b = D[M0 - 2]
@@ -313,26 +415,21 @@ def _tilted_rows(log_w: np.ndarray, D: np.ndarray, M0: int, M1: int) -> np.ndarr
         return None
     # the terms with M - n < M0; zero tails of either factor add nothing
     rows = M1 - M0
+    leaf = _SUB if rows <= _BLOCK_MIN else _LEAF
     k = 1 + min(last_r, last_w)
-    wt = _flushed_exp(log_wt[: max(rows - 1 + k, _SUB - 1)])
-    r_rev = _flushed_exp(log_r_rev[:k])
-    cross = np.correlate(wt[: rows - 1 + k], r_rev, "valid")
-    # Rows i0..i0+_SUB-1 of the block solve (diag(m) - T) r = rhs with m = M0 + i
-    # and T[a, c] = w~_{a-c} below the diagonal.  With N = T/m (rows scaled)
-    # the inverse is (I + N)(I + N^2)(I + N^4)(I + N^8) diag(1/m): every
-    # factor is >= 0, so nothing cancels.
-    T = np.where(_BELOW, wt[_LAG_INDEX], 0.0)
-    subs = -(-rows // _SUB)
-    m = np.arange(M0, M0 + subs * _SUB, dtype=float).reshape(subs, _SUB)
-    power = T / m[:, :, None]
-    inv = _EYE + power
-    for _ in range(3):  # N^2, N^4, N^8; N^16 = 0
-        power = power @ power
-        inv += inv @ power
-    inv /= m[:, None, :]
+    wt = np.zeros(max(rows - 1 + k, leaf - 1))
+    kept = min(last_w + 1, wt.size)  # past last_w every factor is flushed, and exp is slow there
+    wt[:kept] = _flushed_exp(log_wt[:kept])
+    cross = _cross(wt, _flushed_exp(log_r_rev[:k]), rows)
+    # Each leaf's rows i0..i0+leaf-1 solve (diag(m) - T) r = rhs with m = M0 + i
+    # and T[a, c] = w~_{a-c} below the diagonal.
+    T = np.where(_BELOW[:leaf, :leaf], wt[_LAG_INDEX[:leaf, :leaf]], 0.0)
+    leaves = -(-rows // leaf)
+    m = np.arange(M0, M0 + leaves * leaf, dtype=float).reshape(leaves, leaf)
+    inv = _leaf_inverses(T, m)
     r = np.empty(rows)
-    for s, i0 in enumerate(range(0, rows, _SUB)):
-        i1 = min(i0 + _SUB, rows)
+    for s, i0 in enumerate(range(0, rows, leaf)):
+        i1 = min(i0 + leaf, rows)
         L = i1 - i0
         rhs = cross[i0:i1]
         if i0:  # the terms from earlier rows of this block
@@ -342,20 +439,46 @@ def _tilted_rows(log_w: np.ndarray, D: np.ndarray, M0: int, M1: int) -> np.ndarr
     log_r = np.log(r)
     if not abs(log_r).max() <= _TILT_LOG_MAX:
         return None
+    if leaf == _LEAF:
+        # log r drifts to about +-30 over a long block, where a difference of
+        # two logs keeps fewer digits of the step than the log of their ratio
+        return b + np.log(r / np.concatenate(([1.0], r[:-1])))
     return b + np.diff(log_r, prepend=0.0)
+
+
+def _block_rows(D: np.ndarray, M0: int, previous: int) -> int:
+    """Rows of the tilted block starting at row M0, after a block of ``previous`` rows.
+
+    Up to _BLOCK_MIN a block spans as many rows as precede it.  Past it,
+    log r drifts over R rows by about R^2 |D'| / 2, with the slope |D'| of D
+    read over the previous block, so R is the length at which that drift
+    reaches _TILT_LOG_MAX / 5, rounded down to whole _LEAF leaves and kept
+    within _BLOCK_MIN..min(M0 - 1, _BLOCK_MAX).
+    """
+    if M0 <= _BLOCK_MIN + 1:
+        return M0 - 1
+    slope = abs(float(D[M0 - 2] - D[M0 - 2 - previous])) / previous
+    drift = 2.0 * _TILT_LOG_MAX / 5.0
+    rows = min(M0 - 1, _BLOCK_MAX)
+    if slope * rows**2 > drift:
+        rows = int(math.sqrt(drift / slope))
+    return max(rows // _LEAF * _LEAF, _BLOCK_MIN)
 
 
 def build_partition_table(params: SystemParams, weights: WeightSequence) -> LogPartitionTable:
     """Run the cycle-weight recursion up to N.
 
     The first _SUB = 16 rows run the exact log-space loop, so a table with
-    N <= 16 is that loop's output bit for bit.  Each later block starting
-    at row M0 spans min(M0 - 1, _BLOCK) rows (16, 32, 64, 128, then 256
-    from M0 = 257 on); it is tilted by the local slope of log Q and solved
-    in linear space: one correlation for the terms that reach back before
-    the block, then triangular solves of _SUB rows inside it.  It yields
-    the O(1) steps D_M, and log Q is their running sum.  A block whose
-    tilted logs leave the float range runs the exact loop instead.
+    N <= 16 is that loop's output bit for bit.  The later rows come in
+    tilted blocks (_block_rows): 16, 32, 64, 128 and 256 rows, then blocks
+    sized from the curvature of D, from 256 to 4096 rows in steps of 64.
+    Each block is tilted by the local slope of log Q and solved in linear
+    space: one cross term for the terms that reach back before the block
+    (a correlation, or matrix products over lag tiles once it is long),
+    then triangular solves of 16 rows (blocks of up to 256 rows) or 64
+    rows (longer blocks) inside it.  It yields the O(1) steps D_M, and log
+    Q past row 16 is their compensated running sum.  A block whose tilted
+    logs leave the float range runs the exact loop instead.
 
     The w == 1 fixed point gives logQ[M] = 0 bit-exactly on both paths.
     """
@@ -369,15 +492,21 @@ def build_partition_table(params: SystemParams, weights: WeightSequence) -> LogP
     D = np.empty(N)
     _exact_rows(log_w, logQ, D, 1, min(N, _SUB) + 1)
     M0 = _SUB + 1
+    rows = _SUB
     while M0 <= N:
-        M1 = min(M0 + min(M0 - 1, _BLOCK), N + 1)
+        rows = _block_rows(D, M0, rows)
+        M1 = min(M0 + rows, N + 1)
         steps = _tilted_rows(log_w, D, M0, M1)
         if steps is None:
             _exact_rows(log_w, logQ, D, M0, M1)
         else:
             D[M0 - 1 : M1 - 1] = steps
-            logQ[M0:M1] = logQ[M0 - 1] + np.cumsum(steps)
+            logQ[M0:M1] = logQ[M0 - 1] + np.cumsum(steps)  # read by a later exact loop only
         M0 = M1
+    if N > _SUB:
+        # log Q as one compensated running sum of the steps: plain sums block
+        # by block add their roundings up, more so over long blocks
+        logQ[_SUB + 1 :] = logQ[_SUB] + _compensated_cumsum(D[_SUB:])
     return LogPartitionTable(logQ, weights, params, D)
 
 

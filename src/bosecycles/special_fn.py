@@ -41,6 +41,10 @@ __all__ = [
 # relative error below double-precision resolution.
 _TAIL_EXPONENT = 40.0
 
+# exp gives exactly 0 below this argument (its smallest subnormal result
+# is exp(-744.44))
+_EXP_ZERO = -745.2
+
 # Polylog evaluation: direct series up to this fugacity, _power_exp_sum
 # beyond (the inversion code needs smooth values up to and including z = 1).
 _SERIES_Z_MAX = 0.99
@@ -106,14 +110,31 @@ def _require_length(what: str, symbol: str, value: float, *exponents: int) -> No
 def _image_pairs(a: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
     # elementwise sum_{k != 0} exp(-pi a k (k + 2t)) exp(2 pi i k v), adding
     # each +-k pair first; images run until pi a k^2 passes _TAIL_EXPONENT at
-    # the smallest a, plus one more for the off-centre peak
+    # the smallest a, plus one more for the off-centre peak.  An element
+    # leaves at its first pair whose exponents both lie below _EXP_ZERO: that
+    # pair and every later one (|t| <= 1/2, so the exponents fall with k) are
+    # exact zeros, and exp is slow to give them.  The pairs go into a
+    # (kmax, size) table that one sum reduces, in the order it always had.
     kmax = math.ceil(math.sqrt(_TAIL_EXPONENT / (math.pi * a.min(initial=math.inf)))) + 2
-    k = np.array([1, -1])[:, None] * np.arange(1, kmax + 1)
-    k = k.reshape(k.shape + (1,) * a.ndim)  # images lead, so inner loops run over a
-    terms = np.exp(-math.pi * a * k * (k + 2.0 * t))
-    if v.any():
-        terms = terms * np.exp(2j * math.pi * v * k)
-    return (terms[0] + terms[1]).sum(axis=0)
+    shape, phased = a.shape, v.any()
+    a, t, v = a.ravel(), t.ravel(), v.ravel()
+    pairs = np.zeros((kmax, a.size), complex if phased else float)
+    live = np.arange(a.size)
+    for k in range(1, kmax + 1):
+        a_live, t_live = a[live], t[live]
+        plus = -math.pi * a_live * k * (k + 2.0 * t_live)
+        minus = -math.pi * a_live * -k * (-k + 2.0 * t_live)
+        keep = np.maximum(plus, minus) >= _EXP_ZERO
+        if not keep.all():
+            live, plus, minus = live[keep], plus[keep], minus[keep]
+        if not live.size:
+            break
+        plus, minus = np.exp(plus), np.exp(minus)
+        if phased:
+            phase = 2j * math.pi * v[live]
+            plus, minus = plus * np.exp(phase * k), minus * np.exp(phase * -k)
+        pairs[k - 1, live] = plus + minus
+    return pairs.sum(axis=0).reshape(shape)[()]
 
 
 def _theta(a, s=0.0, w=0.0, dual=None):

@@ -612,8 +612,10 @@ class TestFailedRuns:
             # numpy refused the seed without naming the flag
             (["sample", "--rho", "1", "--N", "5", "--seed", "-1"], "--seed must be >= 0, got -1"),
             (["oracle", "--max-n", "3", "--trials", "1", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            # lambda^d was formed before d was checked, and the message blamed lambda
+            (["mu", "--rho", "1", "--lam", "2", "--d", "100000"], "dimension must be <= 1000, got 100000"),
         ],
-        ids=["bounds-d", "spectrum-d", "wavefn-n", "sample-seed", "oracle-seed"],
+        ids=["bounds-d", "spectrum-d", "wavefn-n", "sample-seed", "oracle-seed", "mu-d-with-lam"],
     )
     def test_out_of_range_input_named(self, outdir, capsys, argv, message):
         assert main([*argv, "--format", "json"]) == EXIT_USAGE

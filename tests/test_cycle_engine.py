@@ -271,16 +271,10 @@ class TestBlockedRecursion:
         N = 1000
         log_w = np.zeros(N)
         log_w[699] = 400.0
-        exact_blocks = []
-        exact_rows = cycle_engine._exact_rows
-
-        def spy(log_w, logQ, D, M0, M1):
-            exact_blocks.append(M0)
-            exact_rows(log_w, logQ, D, M0, M1)
-
-        monkeypatch.setattr(cycle_engine, "_exact_rows", spy)
-        t = build_partition_table(SystemParams(d=3, L=1.0, N=N, beta=1.0), WeightSequence(log_w))
-        assert exact_blocks == [1, 513, 769]
+        t, exact_blocks, blocks = _spied_build(monkeypatch, SystemParams(d=3, L=1.0, N=N, beta=1.0),
+                                               WeightSequence(log_w))
+        reaching = [(M0, M1) for M0, M1 in blocks if M1 > 700]
+        assert reaching and exact_blocks == [(1, 17), *reaching]
         assert _rel_log_q_error(t, _exact_log_q(log_w, N)) <= 1e-13
 
     def test_constant_weights_fixed_point_bit_exact(self):
@@ -539,36 +533,169 @@ class TestAggregateMacroscopic:
         assert macro + below == pytest.approx(s.rho, rel=1e-12)
 
 
+def _case_system(case, N, seed):
+    """Params and weights: ideal below or above the transition, lognormal
+    weights from the seed, or a dcp bound edge above the transition."""
+    if case == "lognormal":
+        return SystemParams(d=3, L=1.0, N=N, beta=1.0), WeightSequence(np.random.default_rng(seed).normal(0.0, 1.0, N))
+    p = SystemParams.from_degeneracy(3, N, (0.7 if case == "below" else 2.0) * ZETA32, 1.0)
+    if case.startswith("dcp"):
+        lower, upper = dcp_bound_weights(p, gaussian_potential(0.5, 0.8, d=3))
+        return p, lower if case == "dcp-lower" else upper
+    return p, WeightSequence.ideal(p)
+
+
+def _spied_build(monkeypatch, params, weights):
+    """The table, the (M0, M1) of each block that ran the exact loop, and
+    the (M0, M1) of each block the tilted solve was tried on."""
+    exact_blocks, blocks = [], []
+    exact_rows, tilted_rows = cycle_engine._exact_rows, cycle_engine._tilted_rows
+
+    def exact_spy(log_w, logQ, D, M0, M1):
+        exact_blocks.append((M0, M1))
+        exact_rows(log_w, logQ, D, M0, M1)
+
+    def tilted_spy(log_w, D, M0, M1):
+        blocks.append((M0, M1))
+        return tilted_rows(log_w, D, M0, M1)
+
+    monkeypatch.setattr(cycle_engine, "_exact_rows", exact_spy)
+    monkeypatch.setattr(cycle_engine, "_tilted_rows", tilted_spy)
+    return build_partition_table(params, weights), exact_blocks, blocks
+
+
+def _assert_fixed_point(N):
+    t = build_partition_table(SystemParams(d=3, L=5.0, N=N, beta=1.0), _const_weights(N))
+    assert np.all(t.logQ == 0.0)
+    assert np.all(t.D == 0.0)
+
+
 class TestSubBlockSolve:
-    """Each tilted block is solved 16 rows at a time; a last block may be
-    shorter than one sub-block."""
+    """Each tilted block is solved a leaf at a time: 16 rows in blocks of up
+    to 256 rows, 64 in longer ones; a last block may be shorter than one
+    leaf.  Only rows 1..16 run the exact loop."""
 
     @pytest.mark.parametrize("N", [257, 773, 4100])  # one tilted row; a last block of 5 rows
     @pytest.mark.parametrize("case", ["below", "above", "lognormal"])
     def test_matches_exact_loop(self, N, case, monkeypatch):
-        if case == "lognormal":
-            p = SystemParams(d=3, L=1.0, N=N, beta=1.0)
-            w = WeightSequence(np.random.default_rng(23).normal(0.0, 1.0, N))
-        else:
-            p = SystemParams.from_degeneracy(3, N, (0.7 if case == "below" else 2.0) * ZETA32, 1.0)
-            w = WeightSequence.ideal(p)
-        exact_blocks = []
-        exact_rows = cycle_engine._exact_rows
-
-        def spy(log_w, logQ, D, M0, M1):
-            exact_blocks.append(M0)
-            exact_rows(log_w, logQ, D, M0, M1)
-
-        monkeypatch.setattr(cycle_engine, "_exact_rows", spy)
-        t = build_partition_table(p, w)
-        assert exact_blocks == [1]  # every later block ran the sub-block solve
-        assert _rel_log_q_error(t, _exact_log_q(w.log_w, N)) <= 1e-13
+        t, exact_blocks, _ = _spied_build(monkeypatch, *_case_system(case, N, 23))
+        assert exact_blocks == [(1, 17)]  # every later block ran the tilted solve
+        assert _rel_log_q_error(t, _exact_log_q(t.weights.log_w, N)) <= 1e-13
         assert abs(_norm_residual(cycle_density_spectrum(t))) <= 1e-12
 
     def test_constant_weights_fixed_point_bit_exact(self):
-        t = build_partition_table(SystemParams(d=3, L=5.0, N=261, beta=1.0), _const_weights(261))
-        assert np.all(t.logQ == 0.0)
-        assert np.all(t.D == 0.0)
+        _assert_fixed_point(261)
+
+    @pytest.mark.parametrize("N", [1000, 5000, 20000])  # blocks of 64-row leaves, up to 4096 rows long
+    def test_constant_weights_fixed_point_bit_exact_in_long_blocks(self, N):
+        _assert_fixed_point(N)
+
+    @pytest.mark.parametrize(
+        "case,N",
+        [(case, N) for N in (4100, 16000) for case in ("below", "above", "lognormal", "dcp-lower", "dcp-upper")]
+        + [("above", N_MAX)],
+    )
+    def test_only_the_head_runs_the_exact_loop_in_long_blocks(self, case, N, monkeypatch):
+        t, exact_blocks, blocks = _spied_build(monkeypatch, *_case_system(case, N, 31))
+        assert exact_blocks == [(1, 17)]
+        assert max(M1 - M0 for M0, M1 in blocks) > cycle_engine._BLOCK_MIN
+        assert abs(_norm_residual(cycle_density_spectrum(t))) <= 1e-12
+
+    @pytest.mark.parametrize("fraction", [0.7, 2.0])
+    def test_block_schedule(self, fraction, monkeypatch):
+        # rows 17..N in contiguous blocks: 16, 32, 64, 128 and 256 rows,
+        # then whole 64-row leaves from 256 up to 4096 rows and at most as
+        # many as precede the block; only the last block may be cut short
+        N = N_MAX
+        p = SystemParams.from_degeneracy(3, N, fraction * ZETA32, 1.0)
+        _, _, blocks = _spied_build(monkeypatch, p, WeightSequence.ideal(p))
+        assert blocks[0][0] == 17 and blocks[-1][1] == N + 1
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(blocks, blocks[1:]))
+        lengths = [M1 - M0 for M0, M1 in blocks[:-1]]
+        assert lengths[:5] == [16, 32, 64, 128, 256]
+        for (M0, M1), rows in zip(blocks[5:], lengths[5:]):
+            assert rows % 64 == 0 and 256 <= rows <= min(M0 - 1, 4096)
+        assert max(lengths) == 4096 if fraction > 1.0 else max(lengths) > 2048
+
+
+def _flushed_random(rng, size):
+    """Nonnegative factors over 60 decades, a quarter of them flushed to 0."""
+    x = np.exp(rng.uniform(-70.0, 70.0, size))
+    x[rng.random(size) < 0.25] = 0.0
+    return x
+
+
+class TestTiltedKernels:
+    """The matrix-product cross term against np.correlate, and the merged
+    leaf inverses against np.linalg.inv."""
+
+    @pytest.mark.parametrize(
+        "rows,k",
+        [
+            (5, 37),  # k < _TAU, one short row tile
+            (300, 1000),  # k not a multiple of _TAU
+            (130, 64),  # k one whole tile
+            (1, 5000),
+            (2100, 9000),  # a second, partial row tile and two chunks of lag tiles
+        ],
+    )
+    def test_cross_product_matches_correlate(self, rows, k):
+        rng = np.random.default_rng(rows + k)
+        wt = _flushed_random(rng, rows - 1 + k)
+        r_rev = _flushed_random(rng, k)
+        r_rev[-3:] = 0.0  # a zero tail, as past the last kept factor
+        want = np.correlate(wt, r_rev, "valid")
+        got = cycle_engine._cross_product(wt, r_rev, rows)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+    def test_cross_product_in_small_tiles(self, monkeypatch):
+        # many row tiles and lag chunks, one of them partial, on small inputs
+        monkeypatch.setattr(cycle_engine, "_ROW_TILE", 48)
+        monkeypatch.setattr(cycle_engine, "_TILE_FLOATS", 700)
+        rng = np.random.default_rng(3)
+        rows, k = 250, 1500
+        wt, r_rev = _flushed_random(rng, rows - 1 + k), _flushed_random(rng, k)
+        want = np.correlate(wt, r_rev, "valid")
+        assert np.all(np.abs(cycle_engine._cross_product(wt, r_rev, rows) - want) <= 1e-15 * want)
+
+    def test_cross_switches_to_the_product_at_its_crossover(self, monkeypatch):
+        calls = []
+        product = cycle_engine._cross_product
+        monkeypatch.setattr(cycle_engine, "_cross_product", lambda *a: calls.append(a[2]) or product(*a))
+        wt = np.ones(5000)
+        for rows, k in ((64, cycle_engine._PRODUCT_MIN // 64 - 1), (64, cycle_engine._PRODUCT_MIN // 64)):
+            cycle_engine._cross(np.ones(rows - 1 + k), np.ones(k), rows)
+        assert calls == [64]
+
+    @staticmethod
+    def _leaf_system(rng, M0, leaf, log_span, leaves=5):
+        wt = np.exp(rng.uniform(-log_span, log_span, 63))
+        wt[rng.random(63) < 0.2] = 0.0
+        T = np.where(cycle_engine._BELOW, wt[cycle_engine._LAG_INDEX], 0.0)[:leaf, :leaf]
+        return T, np.arange(M0, M0 + leaves * leaf, dtype=float).reshape(leaves, leaf)
+
+    @pytest.mark.parametrize("leaf", [16, 64])
+    @pytest.mark.parametrize("M0", [257, 5377])
+    def test_leaf_inverses_match_linalg(self, leaf, M0):
+        # factors up to e^3: diag(m) - T stays diagonally dominant, where
+        # np.linalg.inv is accurate to the last digits
+        T, m = self._leaf_system(np.random.default_rng(M0 + leaf), M0, leaf, 3.0)
+        inv = cycle_engine._leaf_inverses(T, m)
+        assert inv.shape == m.shape + (leaf,)
+        for s in range(m.shape[0]):
+            want = np.linalg.inv(np.diag(m[s]) - T)
+            keep = np.tril(np.ones((leaf, leaf), bool))
+            assert np.all(inv[s][~keep] == 0.0)
+            assert np.all(np.abs(inv[s] - want)[keep] <= 1e-14 * want[keep])
+
+    @pytest.mark.parametrize("M0", [257, 5377])
+    def test_leaf_inverses_nonnegative(self, M0):
+        # factors far from diagonal dominance (the ideal weights' tilted
+        # factors reach 3500 near n = 64 at N = 8192): every entry of each
+        # merged inverse is still a sum of nonnegative products
+        inv = cycle_engine._leaf_inverses(*self._leaf_system(np.random.default_rng(M0), M0, 64, 8.0))
+        assert np.all(inv >= 0.0) and np.all(np.isfinite(inv))
 
 
 def _mp_fractions(log_w, N):
@@ -599,29 +726,13 @@ class TestDoublingBlocks:
     @pytest.mark.parametrize("N", [17, 33, 100, 257])  # one row past the head and past each block boundary
     @pytest.mark.parametrize("case", ["below", "above", "lognormal"])
     def test_only_the_head_runs_the_exact_loop(self, N, case, monkeypatch):
-        if case == "lognormal":
-            p = SystemParams(d=3, L=1.0, N=N, beta=1.0)
-            w = WeightSequence(np.random.default_rng(29).normal(0.0, 1.0, N))
-        else:
-            p = SystemParams.from_degeneracy(3, N, (0.7 if case == "below" else 2.0) * ZETA32, 1.0)
-            w = WeightSequence.ideal(p)
-        exact_blocks = []
-        exact_rows = cycle_engine._exact_rows
-
-        def spy(log_w, logQ, D, M0, M1):
-            exact_blocks.append((M0, M1))
-            exact_rows(log_w, logQ, D, M0, M1)
-
-        monkeypatch.setattr(cycle_engine, "_exact_rows", spy)
-        t = build_partition_table(p, w)
+        t, exact_blocks, _ = _spied_build(monkeypatch, *_case_system(case, N, 29))
         assert exact_blocks == [(1, 17)]  # rows 1..16, then tilted blocks only
-        assert _rel_log_q_error(t, _exact_log_q(w.log_w, N)) <= 1e-13
+        assert _rel_log_q_error(t, _exact_log_q(t.weights.log_w, N)) <= 1e-13
 
     @pytest.mark.parametrize("N", [17, 33, 100, 257])
     def test_constant_weights_fixed_point_bit_exact(self, N):
-        t = build_partition_table(SystemParams(d=3, L=5.0, N=N, beta=1.0), _const_weights(N))
-        assert np.all(t.logQ == 0.0)
-        assert np.all(t.D == 0.0)
+        _assert_fixed_point(N)
 
 
 def _scalar_walk(table, rng):

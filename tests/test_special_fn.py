@@ -14,6 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from bosecycles import special_fn
 from bosecycles.coupling import CouplingParams
 from bosecycles.cycle_engine import SystemParams
 from bosecycles.potentials import gaussian_potential
@@ -316,6 +317,46 @@ class TestTorusWeights:
             q_n(p, 0)
         with pytest.raises(ValueError):
             q_n(p, 3, [0.1])  # wrong shift dimension for d=3
+
+
+def _image_pairs_every_k(a, t, v):
+    """The image sum with every pair up to kmax formed, as _image_pairs
+    summed it before it skipped the pairs whose exponentials are exact zeros."""
+    kmax = math.ceil(math.sqrt(special_fn._TAIL_EXPONENT / (math.pi * a.min(initial=math.inf)))) + 2
+    k = np.array([1, -1])[:, None] * np.arange(1, kmax + 1)
+    k = k.reshape(k.shape + (1,) * a.ndim)
+    terms = np.exp(-math.pi * a * k * (k + 2.0 * t))
+    if v.any():
+        terms = terms * np.exp(2j * math.pi * v * k)
+    return (terms[0] + terms[1]).sum(axis=0)
+
+
+class TestImagePairCutoff:
+    """Leaving out the image pairs whose exponentials are exact zeros keeps
+    every sum bit for bit."""
+
+    @pytest.mark.parametrize("N", [2048, 8192, 16000])
+    @pytest.mark.parametrize("fraction", [0.7, 2.0])
+    def test_log_q_weights_unchanged(self, N, fraction, monkeypatch):
+        p = SystemParams.from_degeneracy(3, N, fraction * 2.6123753486854883, 1.0)
+        got = log_q_weights(p)
+        monkeypatch.setattr(special_fn, "_image_pairs", _image_pairs_every_k)
+        assert np.array_equal(got, log_q_weights(p))
+
+    @pytest.mark.parametrize("shape", [(), (1,), (5,), (3, 40)])
+    @pytest.mark.parametrize("kind", ["plain", "shifted", "phased"])
+    def test_image_pairs_unchanged(self, shape, kind):
+        # scales from 0.01 (kmax = 38, as a forced direct form can ask for)
+        # to 3000 (every pair an exact zero), shifts and phases in [-1/2, 1/2]
+        rng = np.random.default_rng(sum(map(ord, kind)) + len(shape))
+        for _ in range(20):
+            a = np.exp(rng.uniform(math.log(0.01), math.log(3000.0), shape))
+            t = rng.uniform(-0.5, 0.5, shape) if kind != "plain" else np.zeros(shape)
+            v = rng.uniform(-0.5, 0.5, shape) if kind == "phased" else np.zeros(shape)
+            got = special_fn._image_pairs(a, t, v)
+            want = _image_pairs_every_k(a, t, v)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
 
 
 class TestAsymptoticRegime:

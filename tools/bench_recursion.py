@@ -14,11 +14,16 @@ cache, so every cold import would compile the edited modules again.
 ``--mode recursion`` (the default), for each N of the ladder and each
 rho*lambda^3 (below and above the d = 3 transition), records:
 
-- the wall time of ``build_partition_table`` (best of 3 below N = 20000,
-  one run above);
+- the wall time of ``build_partition_table`` in ``RECURSION_PROCESSES``
+  fresh processes per checkout, each the best of ``RECURSION_BUILDS``
+  builds below N = 20000 and one build above; ``build_s`` is the median
+  of the per-process minima, ``build_s_q1`` and ``build_s_q3`` their
+  quartiles, and ``build_s_processes`` the minima themselves.  A 2-core
+  box can run a whole process in a slow mode, so one process per side
+  could read a speed-up as a slow-down;
 - max_M |log Q_M - ref_M| / max(1, |ref_M|), with ref the row-by-row
   log-space recursion written here, in double precision and, up to
-  N = 16000, in long double;
+  N = 16000, in long double (first process only: it is deterministic);
 - sum_n rho_n / rho - 1 of ``cycle_density_spectrum``, summed with fsum.
 
 ``--mode sampling``, for each (N, draws) job at rho*lambda^3 = 2 zeta(3/2),
@@ -27,9 +32,10 @@ seeded Generator and records the wall time per draw (and of the first,
 cold, draw) and the MB of numpy arrays the table holds before and after
 its draws.  Each job counts the draws that are identical on both sides.
 
-In these two modes the checkouts alternate row by row: each row runs
-once per checkout, the one that goes first flipping from row to row, so
-that a drift in the machine's speed falls on both sides alike.
+In these two modes the checkouts alternate: each process of a row runs
+once per checkout, the one that goes first flipping from process to
+process and row to row, so that a drift in the machine's speed falls on
+both sides alike.
 
 ``--mode cli-cold`` runs each argv of ``CLI_ARGVS`` (one per kind of op
 in the benchmark's ``cli-cold`` round, sized as there) as a fresh
@@ -66,6 +72,8 @@ ZETA_3_2 = 2.6123753486854883
 DEGENERACIES = {"below": 0.7 * ZETA_3_2, "above": 2.0 * ZETA_3_2}
 LONGDOUBLE_N_MAX = 16000  # the long-double reference takes ~15 s at 16000, ~90 s at 32000
 RECURSION_ROWS = tuple((N, side) for N in LADDER for side in DEGENERACIES)
+RECURSION_PROCESSES = 5  # fresh processes per row and checkout
+RECURSION_BUILDS = 5  # builds per process below N = 20000 (one above)
 SAMPLING_JOBS = ((2048, 40), (4096, 100), (16000, 20), (100_000, 1))  # (N, draws); the last N is N_MAX
 SAMPLING_SEED = 2011
 LAYER = "cycle_engine.build_partition_table"
@@ -105,8 +113,9 @@ TRACED = {
 }
 UNTRACED = {"cli-cold": ["ops_per_s", "op_p50_s", "op_p90_s", "setup_s", "peak_rss_mb", "pass_rate"]}
 WHAT = {
-    "recursion": "build_partition_table on ideal d = 3 torus weights, before and after alternating row by row, "
-    "same machine and arguments",
+    "recursion": f"build_partition_table on ideal d = 3 torus weights: median and quartiles of the per-process best "
+    f"build over {RECURSION_PROCESSES} fresh processes per checkout, before and after alternating process by "
+    "process, same machine and arguments",
     "sampling": "sample_cycle_type on ideal d = 3 torus weights at rho*lambda^3 = 2 zeta(3/2), before and after "
     "alternating row by row, same machine and arguments",
     "cli-cold": f"median wall time of {CLI_REPS} fresh `python -m bosecycles` runs per cli-cold argv and output "
@@ -129,24 +138,21 @@ def rel_err(logQ, ref) -> float:
     return float(np.max(np.abs(logQ - ref) / np.maximum(1.0, np.abs(ref))))
 
 
-def recursion_row(bc, N: int, side: str) -> dict:
+def recursion_row(bc, N: int, side: str, accuracy: bool = True) -> dict:
     rho_lam3 = DEGENERACIES[side]
     params = bc.SystemParams.from_degeneracy(3, N, rho_lam3, 1.0)
     weights = bc.WeightSequence.ideal(params)
     walls = []
-    for _ in range(3 if N < 20000 else 1):
+    for _ in range(RECURSION_BUILDS if N < 20000 else 1):
         start = time.perf_counter()
         table = bc.build_partition_table(params, weights)
         walls.append(time.perf_counter() - start)
+    row = {"N": N, "side": side, "rho_lambda3": rho_lam3, "build_s": min(walls)}
+    if not accuracy:
+        return row
     spectrum = bc.cycle_density_spectrum(table)
-    row = {
-        "N": N,
-        "side": side,
-        "rho_lambda3": rho_lam3,
-        "build_s": min(walls),
-        "logQ_rel_err_vs_exact_loop": rel_err(table.logQ, exact_log_q(weights.log_w, N)),
-        "norm_residual": math.fsum(spectrum.rho_n) / spectrum.rho - 1.0,
-    }
+    row["logQ_rel_err_vs_exact_loop"] = rel_err(table.logQ, exact_log_q(weights.log_w, N))
+    row["norm_residual"] = math.fsum(spectrum.rho_n) / spectrum.rho - 1.0
     if N <= LONGDOUBLE_N_MAX:
         ref = exact_log_q(weights.log_w, N, np.longdouble)
         row["logQ_rel_err_vs_longdouble"] = rel_err(table.logQ, ref)
@@ -177,27 +183,44 @@ def sampling_row(bc, N: int, draws: int) -> dict:
     }
 
 
-def measure_row(mode: str, index: int) -> dict:
+def measure_row(mode: str, index: int, accuracy: bool = True) -> dict:
     """Row ``index`` of the recursion or sampling mode, measured on the importable bosecycles."""
     import bosecycles as bc
 
-    return recursion_row(bc, *RECURSION_ROWS[index]) if mode == "recursion" else sampling_row(bc, *SAMPLING_JOBS[index])
+    if mode == "recursion":
+        return recursion_row(bc, *RECURSION_ROWS[index], accuracy)
+    return sampling_row(bc, *SAMPLING_JOBS[index])
 
 
 def measure_rows(trees: dict[str, Path], mode: str) -> dict[str, list[dict]]:
-    """The recursion or sampling rows, per checkout: one fresh process per
-    row and checkout, the checkout that goes first flipping row by row."""
+    """The recursion or sampling rows, per checkout: RECURSION_PROCESSES
+    fresh processes per row and checkout in the recursion mode (the first
+    one also takes the accuracy figures), one in the sampling mode; the
+    checkout that goes first flips process by process and row by row."""
     rows: dict[str, list[dict]] = {side: [] for side in trees}
     here = Path(__file__).resolve()
+    processes = RECURSION_PROCESSES if mode == "recursion" else 1
+    flip = 0
     for index in range(len(RECURSION_ROWS if mode == "recursion" else SAMPLING_JOBS)):
-        for side in list(trees)[:: 1 if index % 2 == 0 else -1]:
-            tree = trees[side]
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree / "perfbench")]))
-            argv = [sys.executable, str(here), "--mode", mode, "--measure", str(index)]
-            proc = subprocess.run(argv, env=env, check=True, stdout=subprocess.PIPE, text=True)
-            rows[side].append(json.loads(proc.stdout))
-            print(side, json.dumps({k: v for k, v in rows[side][-1].items() if k != "digests"}),
-                  file=sys.stderr, flush=True)
+        runs: dict[str, list[dict]] = {side: [] for side in trees}
+        for rep in range(processes):
+            for side in list(trees)[:: 1 if flip % 2 == 0 else -1]:
+                tree = trees[side]
+                env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree / "perfbench")]))
+                argv = [sys.executable, str(here), "--mode", mode, "--measure", str(index)]
+                if rep:
+                    argv.append("--timing-only")
+                proc = subprocess.run(argv, env=env, check=True, stdout=subprocess.PIPE, text=True)
+                runs[side].append(json.loads(proc.stdout))
+            flip += 1
+        for side, measured in runs.items():
+            row = measured[0]
+            if mode == "recursion":
+                minima = [run["build_s"] for run in measured]
+                q1, median, q3 = statistics.quantiles(minima, n=4) if len(minima) > 1 else minima * 3
+                row.update(build_s=median, build_s_q1=q1, build_s_q3=q3, build_s_processes=minima)
+            rows[side].append(row)
+            print(side, json.dumps({k: v for k, v in row.items() if k != "digests"}), file=sys.stderr, flush=True)
     return rows
 
 
@@ -262,6 +285,8 @@ def main() -> None:
     parser.add_argument("--mode", choices=tuple(TRACED), default="recursion")
     parser.add_argument("--measure", type=int, metavar="ROW",
                         help="recursion and sampling modes: measure one row on the importable bosecycles only")
+    parser.add_argument("--timing-only", action="store_true",
+                        help="with --measure in the recursion mode: time the builds, skip the accuracy figures")
     parser.add_argument("--before", type=Path)
     parser.add_argument("--after", type=Path)
     parser.add_argument("--seed", type=int, default=601, help="seed of the traced perfbench runs")
@@ -270,7 +295,7 @@ def main() -> None:
     if args.measure is not None and args.mode == "cli-cold":
         parser.error("--measure applies to the recursion and sampling modes only")
     if args.measure is not None:
-        print(json.dumps(measure_row(args.mode, args.measure)))
+        print(json.dumps(measure_row(args.mode, args.measure, not args.timing_only)))
         return
     if args.before is None or args.after is None:
         parser.error("--before and --after are required")
