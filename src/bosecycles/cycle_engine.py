@@ -19,10 +19,10 @@ row 512 as many as keep the drift of log Q from the block's tilt near
 slope of log Q (the scaling identity w_n -> c^n w_n makes the tilt
 exact) and takes its terms from all earlier rows in one cross term: a
 correlation, or in long blocks matrix products over tiles of 64 lags.
-It solves its own rows a leaf at a time, 16 rows in the doubling blocks
-and 64 in the later ones, each leaf with a precomputed nonnegative
-inverse of its triangular system (the 64-row ones merged from 16-row
-inverses).  The cap takes about a third of a second.
+It solves its own rows a leaf at a time, 16 rows in blocks of up to 256
+rows and 64 in longer ones, each leaf with a precomputed nonnegative
+inverse of its triangular system (merged from 16-row inverses in long
+blocks).  The cap takes about a third of a second.
 
 Exact cycle types are drawn by chop-down inversion of the same law:
 each step walks n = 1, 2, ... over the terms w_n Q_{M-n}/Q_M, so a draw
@@ -73,11 +73,12 @@ _FLUSH_LOG = 350.0
 # the R^2/2 terms coupling a block's own rows).
 _BLOCK_MIN = 256
 _BLOCK_MAX = 4096
-# Rows solved together: _SUB in the doubling blocks (rows 17..512), _LEAF
-# in the later ones, whose inverses are merged from four _SUB-row inverses.
-# On a 2-core box 64-row leaves were slower on blocks of 64 and 128 rows
-# and some 10 % faster from 256 rows on; the doubling blocks keep 16-row
-# leaves, so that tables up to N = 512 stay as they were bit for bit.
+# Rows solved together: _SUB in blocks of up to _BLOCK_MIN rows, _LEAF in
+# longer ones, whose inverses are merged from four _SUB-row inverses.  On a
+# 2-core box 64-row leaves were slower on blocks of 64 and 128 rows; on
+# 256-row blocks they were faster in a long-running process but, with the
+# page faults of their larger temporaries, 5-8 % slower at N = 2048 in a
+# fresh one.
 _SUB = 16
 _LEAF = 64
 # lags a - c of a leaf's rows and columns, and the weight index of each lag
@@ -401,7 +402,7 @@ def _tilted_rows(log_w: np.ndarray, D: np.ndarray, M0: int, M1: int) -> np.ndarr
     stay near 1 where log Q bends slowly.  log r_j for j < M0 is a
     reversed cumsum of D - b.  The terms from before the block come from
     one cross term (_cross); the block's own rows are solved a leaf of
-    _SUB rows at a time in the doubling blocks, of _LEAF rows after them.
+    _SUB rows at a time, or of _LEAF rows in blocks longer than _BLOCK_MIN.
     Returns None when a factor or a result would pass e^{+-_TILT_LOG_MAX}.
     """
     b = D[M0 - 2]
@@ -416,7 +417,7 @@ def _tilted_rows(log_w: np.ndarray, D: np.ndarray, M0: int, M1: int) -> np.ndarr
         return None
     # the terms with M - n < M0; zero tails of either factor add nothing
     rows = M1 - M0
-    leaf = _SUB if M0 <= _BLOCK_MIN + 1 else _LEAF
+    leaf = _SUB if rows <= _BLOCK_MIN else _LEAF
     k = 1 + min(last_r, last_w)
     wt = np.zeros(max(rows - 1 + k, leaf - 1))
     kept = min(last_w + 1, wt.size)  # past last_w every factor is flushed, and exp is slow there
@@ -476,8 +477,8 @@ def build_partition_table(params: SystemParams, weights: WeightSequence) -> LogP
     Each block is tilted by the local slope of log Q and solved in linear
     space: one cross term for the terms that reach back before the block
     (a correlation, or matrix products over lag tiles once it is long),
-    then triangular solves of 16 rows (the doubling blocks) or 64 rows
-    (the later ones) inside it.  It yields the O(1) steps D_M, and log
+    then triangular solves of 16 rows (blocks of up to 256 rows) or 64
+    rows (longer blocks) inside it.  It yields the O(1) steps D_M, and log
     Q past row 16 is their compensated running sum.  A block whose tilted
     logs leave the float range runs the exact loop instead.
 

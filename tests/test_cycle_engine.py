@@ -571,9 +571,9 @@ def _assert_fixed_point(N):
 
 
 class TestSubBlockSolve:
-    """Each tilted block is solved a leaf at a time: 16 rows in the doubling
-    blocks up to row 512, 64 in the later ones; a last block may be
-    shorter than one leaf.  Only rows 1..16 run the exact loop."""
+    """Each tilted block is solved a leaf at a time: 16 rows in blocks of up
+    to 256 rows, 64 in longer ones; a last block may be shorter than one
+    leaf.  Only rows 1..16 run the exact loop."""
 
     @pytest.mark.parametrize("N", [257, 773, 4100])  # one tilted row; a last block of 5 rows
     @pytest.mark.parametrize("case", ["below", "above", "lognormal"])
