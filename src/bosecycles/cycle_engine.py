@@ -81,11 +81,14 @@ _BLOCK_MAX = 4096
 # fresh one.
 _SUB = 16
 _LEAF = 64
-# lags a - c of a leaf's rows and columns, and the weight index of each lag
-# below the diagonal (0 elsewhere, where it is masked)
-_LAG = np.subtract.outer(np.arange(_LEAF), np.arange(_LEAF))
-_BELOW = _LAG > 0
-_LAG_INDEX = np.where(_BELOW, _LAG - 1, 0)
+# for each leaf size, the entries of a leaf's system below the diagonal
+# (lag a - c > 0) and the weight index a - c - 1 of each (0 elsewhere, where
+# it is masked)
+_LOWER = {
+    n: (lag > 0, np.maximum(lag - 1, 0))
+    for n in (_SUB, _LEAF)
+    for lag in [np.subtract.outer(np.arange(n), np.arange(n))]
+}
 _EYE = np.eye(_SUB)
 # Cross terms: np.correlate below rows * k = 2^22, where it measured as fast
 # or faster on a 2-core box (at 1216 rows and k = 1782, 0.32 against 0.6 ms;
@@ -425,7 +428,8 @@ def _tilted_rows(log_w: np.ndarray, D: np.ndarray, M0: int, M1: int) -> np.ndarr
     cross = _cross(wt, _flushed_exp(log_r_rev[:k]), rows)
     # Each leaf's rows i0..i0+leaf-1 solve (diag(m) - T) r = rhs with m = M0 + i
     # and T[a, c] = w~_{a-c} below the diagonal.
-    T = np.where(_BELOW[:leaf, :leaf], wt[_LAG_INDEX[:leaf, :leaf]], 0.0)
+    below, index = _LOWER[leaf]
+    T = np.where(below, wt[index], 0.0)
     leaves = -(-rows // leaf)
     m = np.arange(M0, M0 + leaves * leaf, dtype=float).reshape(leaves, leaf)
     inv = _leaf_inverses(T, m)
@@ -442,9 +446,14 @@ def _tilted_rows(log_w: np.ndarray, D: np.ndarray, M0: int, M1: int) -> np.ndarr
     if not abs(log_r).max() <= _TILT_LOG_MAX:
         return None
     if leaf == _LEAF:
-        # log r drifts to about +-30 over a long block, where a difference of
-        # two logs keeps fewer digits of the step than the log of their ratio
-        return b + np.log(r / np.concatenate(([1.0], r[:-1])))
+        # log r drifts to about +-30 over a long block, where a float keeps
+        # fewer digits of it than near 0.  So log r is split into a multiple
+        # of 1/64, whose differences are exact, and the log of the rest, near
+        # 0: each step keeps the digits of a log near 0, and sums of steps
+        # still telescope to differences of log r.
+        coarse = np.round(log_r * 64.0) / 64.0
+        fine = np.log(r * np.exp(-coarse))
+        return b + (np.diff(coarse, prepend=0.0) + np.diff(fine, prepend=0.0))
     return b + np.diff(log_r, prepend=0.0)
 
 
@@ -465,6 +474,13 @@ def _block_rows(D: np.ndarray, M0: int, previous: int) -> int:
     if slope * rows**2 > drift:
         rows = int(math.sqrt(drift / slope))
     return max(rows // _LEAF * _LEAF, _BLOCK_MIN)
+
+
+def _sum_steps(logQ: np.ndarray, D: np.ndarray, start: int, stop: int) -> None:
+    """Fill logQ[start+1 : stop+1] from logQ[start] by a compensated running
+    sum of the steps: plain sums add their roundings up over long blocks."""
+    if stop > start:
+        logQ[start + 1 : stop + 1] = logQ[start] + _compensated_cumsum(D[start:stop])
 
 
 def build_partition_table(params: SystemParams, weights: WeightSequence) -> LogPartitionTable:
@@ -493,6 +509,7 @@ def build_partition_table(params: SystemParams, weights: WeightSequence) -> LogP
     logQ = np.zeros(N + 1)
     D = np.empty(N)
     _exact_rows(log_w, logQ, D, 1, min(N, _SUB) + 1)
+    done = min(N, _SUB)  # log Q is filled in up to this row
     M0 = _SUB + 1
     rows = _SUB
     while M0 <= N:
@@ -500,16 +517,15 @@ def build_partition_table(params: SystemParams, weights: WeightSequence) -> LogP
         M1 = min(M0 + rows, N + 1)
         steps = _tilted_rows(log_w, D, M0, M1)
         if steps is None:
+            _sum_steps(logQ, D, done, M0 - 1)  # the exact loop reads every earlier row
             _exact_rows(log_w, logQ, D, M0, M1)
+            done = M1 - 1
         else:
             D[M0 - 1 : M1 - 1] = steps
-            logQ[M0:M1] = logQ[M0 - 1] + np.cumsum(steps)  # read by a later exact loop only
         M0 = M1
-    if N > _SUB:
-        # log Q as one compensated running sum of the steps: plain sums block
-        # by block add their roundings up, more so over long blocks
-        logQ[_SUB + 1 :] = logQ[_SUB] + _compensated_cumsum(D[_SUB:])
+    _sum_steps(logQ, D, done, N)
     return LogPartitionTable(logQ, weights, params, D)
+
 
 
 def cycle_density_spectrum(table: LogPartitionTable) -> CycleSpectrum:

@@ -672,7 +672,8 @@ class TestTiltedKernels:
     def _leaf_system(rng, M0, leaf, log_span, leaves=5):
         wt = np.exp(rng.uniform(-log_span, log_span, 63))
         wt[rng.random(63) < 0.2] = 0.0
-        T = np.where(cycle_engine._BELOW, wt[cycle_engine._LAG_INDEX], 0.0)[:leaf, :leaf]
+        lag = np.subtract.outer(np.arange(leaf), np.arange(leaf))
+        T = np.where(lag > 0, wt[np.maximum(lag - 1, 0)], 0.0)
         return T, np.arange(M0, M0 + leaves * leaf, dtype=float).reshape(leaves, leaf)
 
     @pytest.mark.parametrize("leaf", [16, 64])
