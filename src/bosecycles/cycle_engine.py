@@ -90,15 +90,18 @@ _LOWER = {
     for lag in [np.subtract.outer(np.arange(n), np.arange(n))]
 }
 _EYE = np.eye(_SUB)
-# Cross terms: np.correlate below rows * k = 2^22, where it measured as fast
-# or faster on a 2-core box (at 1216 rows and k = 1782, 0.32 against 0.6 ms;
-# at 1024 rows and k = 8000, 1.8-2.4 against 0.8-0.9 ms); from there on,
-# matrix products over lag tiles of _TAU, each product's copied Hankel
-# factor near _TILE_FLOATS * 8 bytes = 2 MB.
-_PRODUCT_MIN = 1 << 22
+# Cross terms: matrix products over lag tiles of _TAU once there are at
+# least _PRODUCT_LAGS lags and _PRODUCT_ROWS rows, np.correlate below; each
+# product's copied Hankel factor holds about _TILE_FLOATS floats (1 MB).  On
+# a 2-core box, timed against np.correlate in turn, the products took 0.4x
+# its time at 1024 rows and k = 4096, 0.5x at 256 rows and k = 16384 and
+# 0.44x at 2816 rows and k = 4042, but 1.0x at 2048 rows and k = 2048, 2.3x
+# at 4096 rows and k = 1024, and 1.2x or more with 64 rows.
+_PRODUCT_LAGS = 3072
+_PRODUCT_ROWS = 256
 _TAU = 64
-_ROW_TILE = 2048
-_TILE_FLOATS = 1 << 18
+_ROW_TILE = 1024
+_TILE_FLOATS = 1 << 17
 
 WEIGHT_TAGS = ("ideal", "dcp-lower", "dcp-upper", "custom")
 
@@ -324,9 +327,9 @@ def _last_kept(log_x: np.ndarray) -> int:
 def _cross(wt: np.ndarray, r_rev: np.ndarray, rows: int) -> np.ndarray:
     """cross[i] = sum_q wt[i + q] r_rev[q] for i < rows and q < k = r_rev.size,
     that is np.correlate(wt[: rows - 1 + k], r_rev, "valid"), taken as
-    matrix products (_cross_product) from rows * k = _PRODUCT_MIN on."""
+    matrix products (_cross_product) where both k and rows are long."""
     k = r_rev.size
-    if rows * k < _PRODUCT_MIN:
+    if k < _PRODUCT_LAGS or rows < _PRODUCT_ROWS:
         return np.correlate(wt[: rows - 1 + k], r_rev, "valid")
     return _cross_product(wt, r_rev, rows)
 
@@ -350,16 +353,23 @@ def _cross_product(wt: np.ndarray, r_rev: np.ndarray, rows: int) -> np.ndarray:
         i1 = min(i0 + _ROW_TILE, rows)
         width = i1 - i0 + _TAU - 1
         chunk = max(1, _TILE_FLOATS // width)
-        S = np.zeros((_TAU, width))
+        S = None
         for q0 in range(0, tiles, chunk):
             q1 = min(q0 + chunk, tiles)
             start = i0 + _TAU * q0
             # the copy makes the Hankel factor one that matmul hands to BLAS
             A = np.ascontiguousarray(sliding_window_view(w[start : start + _TAU * (q1 - q0 - 1) + width], width)[::_TAU])
-            S += R[q0:q1].T @ A
+            if S is None:
+                S = R[q0:q1].T @ A
+            else:
+                S += R[q0:q1].T @ A
+        # the diagonals of S, summed pairwise in place, so that the sums keep
+        # np.correlate's accuracy
         diagonals = as_strided(S, shape=(_TAU, i1 - i0), strides=(S.strides[0] + S.itemsize, S.itemsize))
-        while diagonals.shape[0] > 1:  # pairwise, so that the sums keep np.correlate's accuracy
-            diagonals = diagonals[0::2] + diagonals[1::2]
+        half = _TAU // 2
+        while half:
+            np.add(diagonals[:half], diagonals[half : 2 * half], out=diagonals[:half])
+            half //= 2
         cross[i0:i1] = diagonals[0]
     return cross
 

@@ -662,11 +662,12 @@ class TestTiltedKernels:
     def test_cross_switches_to_the_product_at_its_crossover(self, monkeypatch):
         calls = []
         product = cycle_engine._cross_product
-        monkeypatch.setattr(cycle_engine, "_cross_product", lambda *a: calls.append(a[2]) or product(*a))
-        wt = np.ones(5000)
-        for rows, k in ((64, cycle_engine._PRODUCT_MIN // 64 - 1), (64, cycle_engine._PRODUCT_MIN // 64)):
-            cycle_engine._cross(np.ones(rows - 1 + k), np.ones(k), rows)
-        assert calls == [64]
+        monkeypatch.setattr(cycle_engine, "_cross_product", lambda *a: calls.append(a[1:]) or product(*a))
+        lags, rows = cycle_engine._PRODUCT_LAGS, cycle_engine._PRODUCT_ROWS
+        for n, k in ((rows, lags - 1), (rows - 1, lags), (rows, lags)):
+            got = cycle_engine._cross(np.ones(n - 1 + k), np.ones(k), n)
+            assert np.array_equal(got, np.full(n, float(k)))
+        assert [(r_rev.size, n) for r_rev, n in calls] == [(lags, rows)]
 
     @staticmethod
     def _leaf_system(rng, M0, leaf, log_span, leaves=5):
