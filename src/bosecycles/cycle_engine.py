@@ -338,7 +338,7 @@ def _cross_product(wt: np.ndarray, r_rev: np.ndarray, rows: int) -> np.ndarray:
     """_cross from matrix products: the lags come in tiles of _TAU, and with
     R[Q, t] = r_rev[_TAU Q + t] and the Hankel A[Q, u] = wt[_TAU Q + u] the
     product S = R^T A sums the terms of each lag residue t, so cross[i] =
-    sum_t S[t, i + t], summed pairwise over t.  Output rows come _ROW_TILE at a time and the lag
+    sum_t S[t, i + t].  Output rows come _ROW_TILE at a time and the lag
     tiles in chunks, so that each copied A holds about _TILE_FLOATS floats.
     """
     k = r_rev.size
@@ -358,7 +358,8 @@ def _cross_product(wt: np.ndarray, r_rev: np.ndarray, rows: int) -> np.ndarray:
             q1 = min(q0 + chunk, tiles)
             start = i0 + _TAU * q0
             # the copy makes the Hankel factor one that matmul hands to BLAS
-            A = np.ascontiguousarray(sliding_window_view(w[start : start + _TAU * (q1 - q0 - 1) + width], width)[::_TAU])
+            hankel = sliding_window_view(w[start : start + _TAU * (q1 - q0 - 1) + width], width)[::_TAU]
+            A = np.ascontiguousarray(hankel)
             if S is None:
                 S = R[q0:q1].T @ A
             else:
@@ -464,6 +465,7 @@ def _tilted_rows(log_w: np.ndarray, D: np.ndarray, M0: int, M1: int) -> np.ndarr
         coarse = np.round(log_r * 64.0) / 64.0
         fine = np.log(r * np.exp(-coarse))
         return b + (np.diff(coarse, prepend=0.0) + np.diff(fine, prepend=0.0))
+    # a short block's log r stays near 0, where plain differences lose nothing
     return b + np.diff(log_r, prepend=0.0)
 
 
@@ -535,7 +537,6 @@ def build_partition_table(params: SystemParams, weights: WeightSequence) -> LogP
         M0 = M1
     _sum_steps(logQ, D, done, N)
     return LogPartitionTable(logQ, weights, params, D)
-
 
 
 def cycle_density_spectrum(table: LogPartitionTable) -> CycleSpectrum:
