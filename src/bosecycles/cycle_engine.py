@@ -391,19 +391,20 @@ def _leaf_inverses(T: np.ndarray, m: np.ndarray) -> np.ndarray:
     for _ in range(3):  # N^2, N^4, N^8
         power = power @ power
         inv += inv @ power
-    inv /= subs[:, None, :]
     if leaf == _SUB:
+        inv /= subs[:, None, :]
         return inv
+    # the 16-row inverses and each merged block are written into place: as
+    # separate arrays, their copies took longer than the products
     per = leaf // _SUB
     merged = np.zeros((leaves, leaf, leaf))
-    diagonal = merged.reshape(leaves, per, _SUB, per, _SUB)
-    for j in range(per):
-        diagonal[:, j, :, j] = inv[j::per]
+    diagonal = np.einsum("ajbjc->ajbc", merged.reshape(leaves, per, _SUB, per, _SUB))
+    np.divide(inv.reshape(leaves, per, _SUB, _SUB), m.reshape(leaves, per, 1, _SUB), out=diagonal)
     s = _SUB
     while s < leaf:
         for j in range(0, leaf, 2 * s):
             first, second = slice(j, j + s), slice(j + s, j + 2 * s)
-            merged[:, second, first] = merged[:, second, second] @ T[s : 2 * s, :s] @ merged[:, first, first]
+            np.matmul(merged[:, second, second] @ T[s : 2 * s, :s], merged[:, first, first], out=merged[:, second, first])
         s *= 2
     return merged
 
@@ -476,7 +477,9 @@ def _block_rows(D: np.ndarray, M0: int, previous: int) -> int:
     log r drifts over R rows by about R^2 |D'| / 2, with the slope |D'| of D
     read over the previous block, so R is the length at which that drift
     reaches _TILT_LOG_MAX / 5, rounded down to whole _LEAF leaves and kept
-    within _BLOCK_MIN..min(M0 - 1, _BLOCK_MAX).
+    within _BLOCK_MIN..min(M0 - 1, _BLOCK_MAX).  Rows up to a quarter of R
+    left over at the end of the table join the block (the drift grows by at
+    most 56 %), which saves a block's fixed cost.
     """
     if M0 <= _BLOCK_MIN + 1:
         return M0 - 1
@@ -485,7 +488,9 @@ def _block_rows(D: np.ndarray, M0: int, previous: int) -> int:
     rows = min(M0 - 1, _BLOCK_MAX)
     if slope * rows**2 > drift:
         rows = int(math.sqrt(drift / slope))
-    return max(rows // _LEAF * _LEAF, _BLOCK_MIN)
+    rows = max(rows // _LEAF * _LEAF, _BLOCK_MIN)
+    rest = D.size + 1 - (M0 + rows)
+    return rows + rest if 0 < rest <= rows // 4 else rows
 
 
 def _sum_steps(logQ: np.ndarray, D: np.ndarray, start: int, stop: int) -> None:

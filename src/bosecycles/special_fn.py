@@ -116,7 +116,7 @@ def _image_pairs(a: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
     # exact zeros, and exp is slow to give them.  The pairs go into a
     # (kmax, size) table that one sum reduces, in the order it always had.
     kmax = math.ceil(math.sqrt(_TAIL_EXPONENT / (math.pi * a.min(initial=math.inf)))) + 2
-    shape, phased = a.shape, v.any()
+    shape, shifted, phased = a.shape, t.any(), v.any()
     a, t, v = a.ravel(), t.ravel(), v.ravel()
     pairs = np.zeros((kmax, a.size), complex if phased else float)
     live = np.arange(a.size)
@@ -129,7 +129,8 @@ def _image_pairs(a: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
             live, plus, minus = live[keep], plus[keep], minus[keep]
         if not live.size:
             break
-        plus, minus = np.exp(plus), np.exp(minus)
+        plus = np.exp(plus)
+        minus = np.exp(minus) if shifted else plus  # at t = 0 the exponents agree bit for bit
         if phased:
             phase = 2j * math.pi * v[live]
             plus, minus = plus * np.exp(phase * k), minus * np.exp(phase * -k)

@@ -605,7 +605,8 @@ class TestSubBlockSolve:
     def test_block_schedule(self, fraction, monkeypatch):
         # rows 17..N in contiguous blocks: 16, 32, 64, 128 and 256 rows,
         # then whole 64-row leaves from 256 up to 4096 rows and at most as
-        # many as precede the block; only the last block may be cut short
+        # many as precede the block; only the last block may differ, cut
+        # short or taking the last few rows
         N = N_MAX
         p = SystemParams.from_degeneracy(3, N, fraction * ZETA32, 1.0)
         _, _, blocks = _spied_build(monkeypatch, p, WeightSequence.ideal(p))
