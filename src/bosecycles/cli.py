@@ -27,7 +27,6 @@ tolerance failure.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -43,6 +42,7 @@ from .coupling import (
     CENSUS_MAX_MULTIPLICITY,
     CENSUS_MAX_VERTICES,
     CouplingParams,
+    _pair_list,
     coupling_sweep,
     enumerate_merger_graphs,
     optimize_coupling,
@@ -53,6 +53,7 @@ from .cycle_engine import (
     SystemParams,
     WeightSequence,
     _cycle_types,
+    _require_eps,
     aggregate_macroscopic,
     brute_force_partition_fn,
     build_partition_table,
@@ -440,6 +441,7 @@ def _json_draws(draws):
 def cmd_spectrum(args) -> int:
     params = _resolve_system(args)
     weights, system = _weights_and_system(args, params)
+    _require_eps(args.eps)
     table = build_partition_table(params, weights)
     spectrum = cycle_density_spectrum(table)
     agg = aggregate_macroscopic(spectrum, args.eps)
@@ -576,7 +578,7 @@ def cmd_merger(args) -> int:
     census = enumerate_merger_graphs(vertices, max_mult, cross_check=args.cross_check)
     keys = ("vertices", "max_multiplicity", "cross_check")
     config = {"command": "merger", **{key: getattr(args, key) for key in keys}}
-    header = [f"m{i}{j}" for i, j in itertools.combinations(range(vertices), 2)] + ["delta", "K"]
+    header = [f"m{i}{j}" for i, j in _pair_list(vertices)] + ["delta", "K"]
     payload = {
         "total": census.total,
         "admissible": census.admissible,

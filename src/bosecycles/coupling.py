@@ -43,7 +43,6 @@ CENSUS_MAX_MULTIPLICITY = 3
 _SEARCH_MAX_VERTICES = 8
 _SEARCH_MAX_EDGES = 48
 _GOLDEN_XATOL = 1e-12
-_ROW_CHUNK = 4096  # census rows turned into Python tuples at a time (bounds the transients)
 
 
 def _pair_list(n: int) -> list[tuple[int, int]]:
@@ -389,8 +388,12 @@ def coupling_sweep(params: CouplingParams, num: int = 101) -> list[SweepRow]:
 @dataclass(frozen=True)
 class CouplingCensus:
     """Summary of an exhaustive enumeration of multigraphs, with the
-    census arrays it was read from: every multiplicity vector, its Delta
-    and its K, in itertools.product order over the pairs."""
+    census arrays it was read from.  Row r of vecs, delta and k_vals is
+    one multigraph, in itertools.product order over the pairs (the last
+    pair varies fastest).  K is undefined where delta is False, and
+    k_vals there holds the support's rank, so readers must mask it.
+    MergerMultigraph, is_merger_graph and k_index remain the
+    graph-by-graph oracle for these rows."""
 
     n_vertices: int
     max_multiplicity: int
@@ -401,20 +404,6 @@ class CouplingCensus:
     vecs: np.ndarray = field(compare=False, repr=False)
     delta: np.ndarray = field(compare=False, repr=False)
     k_vals: np.ndarray = field(compare=False, repr=False)
-
-    def rows(self):
-        """Yield (multiplicities, Delta, K-or-None) for every multigraph, in
-        itertools.product order over the pairs (the last pair varies fastest).
-
-        MergerMultigraph, is_merger_graph and k_index remain the
-        graph-by-graph oracle for these rows.
-        """
-        for start in range(0, self.total, _ROW_CHUNK):
-            chunk = slice(start, start + _ROW_CHUNK)
-            for mults, ok, K in zip(
-                self.vecs[chunk].tolist(), self.delta[chunk].tolist(), self.k_vals[chunk].tolist()
-            ):
-                yield tuple(mults), int(ok), (K if ok else None)
 
 
 def _census_arrays(n_vertices: int, max_multiplicity: int):

@@ -680,11 +680,15 @@ def verify_auxiliary_identity(
     return float(np.abs(np.expm1(logQm - log_ref)).max())
 
 
+def _require_eps(eps: float) -> None:
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+
+
 def aggregate_macroscopic(spectrum: CycleSpectrum, eps: float) -> MacroAggregate:
     """Density in macroscopic cycles (n >= eps N) and in the sub-macroscopic
     band eps N^{2/d} <= n <= N/ln N.  eps = 1 keeps exactly rho_N."""
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    _require_eps(eps)
     N = spectrum.params.N
     d = spectrum.params.d
     # half-ulp slack so eps*N landing on an integer includes that n

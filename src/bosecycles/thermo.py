@@ -21,6 +21,7 @@ import numpy as np
 from .cycle_engine import (
     SystemParams,
     WeightSequence,
+    _require_eps,
     aggregate_macroscopic,
     build_partition_table,
     cycle_density_spectrum,
@@ -347,6 +348,7 @@ def finite_size_scan(
     estimate is the canonical zero-mode occupation
     <N_0>/N = (1/N) sum_{n=1}^{N} Q_{N-n}/Q_N.
     """
+    _require_eps(eps)
     rows = []
     for N in N_list:
         params = SystemParams.from_density(d, int(N), rho, beta)

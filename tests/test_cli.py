@@ -16,6 +16,7 @@ import pytest
 import bosecycles
 from bosecycles import coupling
 from bosecycles import cli
+from bosecycles import thermo
 from bosecycles.cli import DRAWS_MAX, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, N_LIST_MAX, NUM_MAX, TRIALS_MAX, main
 from bosecycles.coupling import CENSUS_MAX_MULTIPLICITY, CENSUS_MAX_VERTICES, CouplingParams, coupling_gain_rate
 from bosecycles.cycle_engine import (
@@ -322,8 +323,8 @@ class TestMerger:
 
 
 class TestMergerRender:
-    """The merger files, rendered from the census arrays, against the same
-    rows rendered one by one from ``census.rows()``."""
+    """The merger files, rendered a chunk at a time from the census arrays,
+    against the same arrays rendered row by row in Python."""
 
     # (4, 3) is exactly one 4096-row chunk; (5, 2) spans fifteen
     SIZES = [(1, 1), (2, 3), (3, 3), (4, 3), (5, 1), (5, 2)]
@@ -342,8 +343,8 @@ class TestMergerRender:
         header = [f"m{i}{j}" for i in range(vertices) for j in range(i + 1, vertices)] + ["delta", "K"]
         want = "".join(f"# {key} = {val}\n" for key, val in config.items()) + ",".join(header) + "\n"
         want += "".join(
-            ",".join(map(str, (*mults, delta, "" if K is None else K))) + "\n"
-            for mults, delta, K in census.rows()
+            ",".join(map(str, (*mults, int(delta), K if delta else ""))) + "\n"
+            for mults, delta, K in zip(census.vecs.tolist(), census.delta.tolist(), census.k_vals.tolist())
         )
         got = (outdir / "merger.csv").read_bytes()
         assert got == want.encode()
@@ -359,7 +360,10 @@ class TestMergerRender:
             "total": census.total,
             "admissible": census.admissible,
             "k_histogram": {str(k): census.k_histogram[k] for k in sorted(census.k_histogram)},
-            "rows": [{"multiplicities": list(m), "delta": d, "K": K} for m, d, K in census.rows()],
+            "rows": [
+                {"multiplicities": m, "delta": int(d), "K": K if d else None}
+                for m, d, K in zip(census.vecs.tolist(), census.delta.tolist(), census.k_vals.tolist())
+            ],
         }
         want = json.dumps({"config": config, **payload}, indent=2) + "\n"
         assert (outdir / "merger.json").read_bytes() == want.encode()
@@ -871,6 +875,18 @@ class TestWorkSizeCaps:
         assert main(["scan", "--rho-lambda3", "1.0", "--N-list", f"8,{size}"]) == EXIT_USAGE
         assert f"--N-list sizes must lie in 1..{N_MAX}, got {size}" in capsys.readouterr().err
         assert scanned == []
+        assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("eps", ["0", "nan", "1.5"])
+    @pytest.mark.parametrize("argv", [["spectrum", "--N", "64"], ["scan", "--N-list", "64"]], ids=["spectrum", "scan"])
+    def test_eps_out_of_range_refused_before_any_table(self, outdir, capsys, monkeypatch, argv, eps):
+        def no_table(*args):
+            raise AssertionError("a table was built before eps was checked")
+
+        monkeypatch.setattr(cli, "build_partition_table", no_table)
+        monkeypatch.setattr(thermo, "build_partition_table", no_table)
+        assert main([*argv, "--rho-lambda3", "2.0", "--eps", eps]) == EXIT_USAGE
+        assert f"eps must lie in (0, 1], got {float(eps)}" in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
 
 

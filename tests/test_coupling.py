@@ -168,26 +168,20 @@ class TestCensus:
         with pytest.raises(ValueError, match="capped"):
             enumerate_merger_graphs(3, 4)
 
-    def test_rows_agree_with_summary(self):
-        rows = list(enumerate_merger_graphs(3, 3).rows())
-        assert len(rows) == 64
-        admissible = [r for r in rows if r[1] == 1]
-        assert len(admissible) == 16
-        for mults, delta, K in rows:
-            G = MergerMultigraph(3, mults)
-            assert delta == is_merger_graph(G)
-            if delta:
-                assert K == k_index(G)
-            else:
-                assert K is None
-
-    def test_rows_follow_product_order(self):
-        rows = list(enumerate_merger_graphs(4, 2).rows())
-        assert [mults for mults, _, _ in rows] == list(itertools.product(range(3), repeat=6))
-        for mults, delta, K in rows:
-            G = MergerMultigraph(4, mults)
-            assert delta == is_merger_graph(G)
-            assert K == (k_index(G) if delta else None)
+    @pytest.mark.parametrize("n,m", [(3, 3), (4, 2), (4, 3), (5, 1)])
+    def test_rows_match_the_oracle(self, n, m):
+        # row r of the census arrays is the r-th multigraph in product order,
+        # with the graph-by-graph oracle's Delta and, where Delta = 1, its K
+        cen = enumerate_merger_graphs(n, m)
+        vecs = cen.vecs.tolist()
+        assert vecs == [list(v) for v in itertools.product(range(m + 1), repeat=n * (n - 1) // 2)]
+        graphs = [MergerMultigraph(n, mults) for mults in vecs]
+        delta = [is_merger_graph(G) for G in graphs]
+        assert cen.delta.tolist() == delta
+        ks = [k_index(G) for G, ok in zip(graphs, delta) if ok]
+        assert cen.k_vals[cen.delta].tolist() == ks
+        assert (cen.total, cen.admissible) == (len(vecs), len(ks))
+        assert cen.k_histogram == {k: ks.count(k) for k in set(ks)}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_census_k_matches_component_count(self, n):

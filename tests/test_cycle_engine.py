@@ -564,31 +564,52 @@ def _spied_build(monkeypatch, params, weights):
     return build_partition_table(params, weights), exact_blocks, blocks
 
 
-def _assert_fixed_point(N):
-    t = build_partition_table(SystemParams(d=3, L=5.0, N=N, beta=1.0), _const_weights(N))
-    assert np.all(t.logQ == 0.0)
-    assert np.all(t.D == 0.0)
+def _mp_fractions(log_w, N):
+    """rho_n / rho = w_n Q_{N-n} / (N Q_N) by the recursion in 40-digit
+    mpmath, on the given float weights."""
+    with mp.workdps(40):
+        w = [mp.exp(mp.mpf(float(x))) for x in log_w[:N]]
+        Q = [mp.mpf(1)]
+        for M in range(1, N + 1):
+            Q.append(mp.fsum(w[n] * Q[M - 1 - n] for n in range(M)) / M)
+        return np.array([float(w[n] * Q[N - 1 - n] / (N * Q[N])) for n in range(N)])
 
 
 class TestSubBlockSolve:
-    """Each tilted block is solved a leaf at a time: 16 rows in blocks of up
-    to 256 rows, 64 in longer ones; a last block may be shorter than one
-    leaf.  Only rows 1..16 run the exact loop."""
+    """Only rows 1..16 run the exact loop.  Each later block is tilted and
+    solved a leaf at a time: 16 rows in blocks of up to 256 rows, 64 in
+    longer ones; a last block may be shorter than one leaf."""
 
-    @pytest.mark.parametrize("N", [257, 773, 4100])  # one tilted row; a last block of 5 rows
+    @pytest.mark.parametrize(
+        "N,seed",
+        # one row past the head and past each doubling block's boundary;
+        # one tilted row past 256, and a last block of 5 rows
+        [pytest.param(N, 29, id=f"{N}-seed29") for N in (17, 33, 100, 257)]
+        + [pytest.param(N, 23, id=f"{N}") for N in (257, 773, 4100)],
+    )
     @pytest.mark.parametrize("case", ["below", "above", "lognormal"])
-    def test_matches_exact_loop(self, N, case, monkeypatch):
-        t, exact_blocks, _ = _spied_build(monkeypatch, *_case_system(case, N, 23))
+    def test_matches_exact_loop(self, N, seed, case, monkeypatch):
+        t, exact_blocks, _ = _spied_build(monkeypatch, *_case_system(case, N, seed))
         assert exact_blocks == [(1, 17)]  # every later block ran the tilted solve
         assert _rel_log_q_error(t, _exact_log_q(t.weights.log_w, N)) <= 1e-13
         assert abs(_norm_residual(cycle_density_spectrum(t))) <= 1e-12
 
-    def test_constant_weights_fixed_point_bit_exact(self):
-        _assert_fixed_point(261)
+    # past each doubling block, and blocks of 64-row leaves up to 4096 rows long
+    @pytest.mark.parametrize("N", [17, 33, 100, 257, 261, 1000, 5000, 20000])
+    def test_constant_weights_fixed_point_bit_exact(self, N):
+        t = build_partition_table(SystemParams(d=3, L=5.0, N=N, beta=1.0), _const_weights(N))
+        assert np.all(t.logQ == 0.0)
+        assert np.all(t.D == 0.0)
 
-    @pytest.mark.parametrize("N", [1000, 5000, 20000])  # blocks of 64-row leaves, up to 4096 rows long
-    def test_constant_weights_fixed_point_bit_exact_in_long_blocks(self, N):
-        _assert_fixed_point(N)
+    @pytest.mark.parametrize("N", [64, 256, 600])
+    def test_fractions_match_mpmath(self, N):
+        # rows past 16 come from tilted blocks, whose steps D are not
+        # differences of large logs; an exact loop over rows 1..256 leaves
+        # 1.3e-12 at N = 600
+        p = SystemParams.from_degeneracy(3, N, 2.0, 1.0)
+        w = WeightSequence.ideal(p)
+        fractions = cycle_density_spectrum(build_partition_table(p, w)).fractions
+        assert np.max(np.abs(fractions / _mp_fractions(w.log_w, N) - 1.0)) <= 2e-13
 
     @pytest.mark.parametrize(
         "case,N",
@@ -699,43 +720,6 @@ class TestTiltedKernels:
         # merged inverse is still a sum of nonnegative products
         inv = cycle_engine._leaf_inverses(*self._leaf_system(np.random.default_rng(M0), M0, 64, 8.0))
         assert np.all(inv >= 0.0) and np.all(np.isfinite(inv))
-
-
-def _mp_fractions(log_w, N):
-    """rho_n / rho = w_n Q_{N-n} / (N Q_N) by the recursion in 40-digit
-    mpmath, on the given float weights."""
-    with mp.workdps(40):
-        w = [mp.exp(mp.mpf(float(x))) for x in log_w[:N]]
-        Q = [mp.mpf(1)]
-        for M in range(1, N + 1):
-            Q.append(mp.fsum(w[n] * Q[M - 1 - n] for n in range(M)) / M)
-        return np.array([float(w[n] * Q[N - 1 - n] / (N * Q[N])) for n in range(N)])
-
-
-class TestDoublingBlocks:
-    """The exact loop runs rows 1..16; each later block spans as many rows
-    as precede it, up to 256."""
-
-    @pytest.mark.parametrize("N", [64, 256, 600])
-    def test_fractions_match_mpmath(self, N):
-        # rows past 16 come from tilted blocks, whose steps D are not
-        # differences of large logs; an exact loop over rows 1..256 leaves
-        # 1.3e-12 at N = 600
-        p = SystemParams.from_degeneracy(3, N, 2.0, 1.0)
-        w = WeightSequence.ideal(p)
-        fractions = cycle_density_spectrum(build_partition_table(p, w)).fractions
-        assert np.max(np.abs(fractions / _mp_fractions(w.log_w, N) - 1.0)) <= 2e-13
-
-    @pytest.mark.parametrize("N", [17, 33, 100, 257])  # one row past the head and past each block boundary
-    @pytest.mark.parametrize("case", ["below", "above", "lognormal"])
-    def test_only_the_head_runs_the_exact_loop(self, N, case, monkeypatch):
-        t, exact_blocks, _ = _spied_build(monkeypatch, *_case_system(case, N, 29))
-        assert exact_blocks == [(1, 17)]  # rows 1..16, then tilted blocks only
-        assert _rel_log_q_error(t, _exact_log_q(t.weights.log_w, N)) <= 1e-13
-
-    @pytest.mark.parametrize("N", [17, 33, 100, 257])
-    def test_constant_weights_fixed_point_bit_exact(self, N):
-        _assert_fixed_point(N)
 
 
 def _scalar_walk(table, rng):

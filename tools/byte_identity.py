@@ -32,6 +32,8 @@ from pathlib import Path
 INPUTS = {
     "weights.csv": "n,w\n" + "".join(f"{n},{1.0 / n**1.5!r}\n" for n in range(1, 9)),
     "run.cfg": "# spectrum run\nrho_lambda3 = 2.0\nN = 32\nd = 3\n",
+    # a config entry goes through its flag's type, so this reaches cli._bool (a bare --cross-check does not)
+    "merger.cfg": "# merger run\nvertices = 3\ncross_check = yes\n",
     "profile.csv": "r,value\n" + "".join(f"{0.1 * k:.1f},{math.exp(-0.3 * k)!r}\n" for k in range(21)),
     "tabulated.txt": "kind = tabulated\nprofile = profile.csv\nd = 3\n",
     "autocorrelation.txt": "kind = autocorrelation\nprofile = profile.csv\nd = 3\n",
@@ -67,6 +69,7 @@ RUNS = {
     "sample-4096": ["sample", "--rho-lambda3", "1.8", "--N", "4096", "--seed", "12", "--draws", "20"],
     "merger-3": ["merger", "--vertices", "3"],
     "merger-3-cross": ["merger", "--vertices", "3", "--cross-check"],
+    "merger-config-cross": ["merger", "--config", "{merger.cfg}"],
     "merger-4": ["merger", "--vertices", "4"],
     "merger-4-cross": ["merger", "--vertices", "4", "--cross-check"],
     "gain": ["gain", "--c", "0.5", "--rho-v", "2", "--rho", "1", "--num", "11"],
@@ -92,6 +95,8 @@ RUNS = {
     "spectrum-d-huge": ["spectrum", "--N", "5", "--rho", "1", "--d", str(10**23)],
     "wavefn-n-huge": ["wavefn", "--n", str(10**400), "--L", "1", "--y", "0.1"],
     "sample-seed-negative": ["sample", "--rho", "1", "--N", "5", "--seed", "-1"],
+    # refused by the eps rule before the O(N^2) build
+    "spectrum-eps-zero": ["spectrum", "--N", "64", "--rho-lambda3", "2.0", "--eps", "0"],
 }
 FORMATS = ("csv", "json")
 
