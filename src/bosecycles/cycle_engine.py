@@ -21,8 +21,8 @@ exact) and takes its terms from all earlier rows in one cross term: a
 correlation, or in long blocks matrix products over tiles of 64 lags.
 It solves its own rows a leaf at a time, 16 rows in blocks of up to 256
 rows and 64 in longer ones, each leaf with a precomputed nonnegative
-inverse of its triangular system (merged from 16-row inverses in long
-blocks).  The cap takes about a third of a second.
+inverse of its triangular Toeplitz system, merged up from the diagonal.
+The cap takes about a third of a second.
 
 Exact cycle types are drawn by chop-down inversion of the same law:
 each step walks n = 1, 2, ... over the terms w_n Q_{M-n}/Q_M, so a draw
@@ -74,7 +74,7 @@ _FLUSH_LOG = 350.0
 _BLOCK_MIN = 256
 _BLOCK_MAX = 4096
 # Rows solved together: _SUB in blocks of up to _BLOCK_MIN rows, _LEAF in
-# longer ones, whose inverses are merged from four _SUB-row inverses.  On a
+# longer ones; either leaf's inverse is merged up from its diagonal.  On a
 # 2-core box 64-row leaves were slower on blocks of 64 and 128 rows; on
 # 256-row blocks they were faster in a long-running process but, with the
 # page faults of their larger temporaries, 5-8 % slower at N = 2048 in a
@@ -89,7 +89,6 @@ _LOWER = {
     for n in (_SUB, _LEAF)
     for lag in [np.subtract.outer(np.arange(n), np.arange(n))]
 }
-_EYE = np.eye(_SUB)
 # Cross terms: matrix products over lag tiles of _TAU once there are at
 # least _PRODUCT_LAGS lags and _PRODUCT_ROWS rows, np.correlate below; each
 # product's copied Hankel factor holds about _TILE_FLOATS floats (1 MB).  On
@@ -376,37 +375,25 @@ def _cross_product(wt: np.ndarray, r_rev: np.ndarray, rows: int) -> np.ndarray:
 
 
 def _leaf_inverses(T: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(diag(m[s]) - T)^{-1} for each leaf s, T lower triangular and >= 0.
+    """(diag(m[s]) - T)^{-1} for each leaf s, T lower triangular, Toeplitz and >= 0.
 
-    Each _SUB rows take (I + N)(I + N^2)(I + N^4)(I + N^8) diag(1/m) with
-    N = T/m (rows scaled; N^16 = 0).  In longer leaves these sit on the
-    diagonal, and two consecutive inverses A^{-1}, B^{-1} merge into
-    [[A^{-1}, 0], [B^{-1} C A^{-1}, B^{-1}]], C the block of T below them,
-    until they span the leaf.  Every factor is >= 0, so nothing cancels.
+    The inverse is merged up from its diagonal 1/m: for s = 1, 2, 4, ...
+    each diagonal block of 2s rows holds the inverses A^{-1}, B^{-1} of
+    its two halves and gets B^{-1} C A^{-1} below them, where C = T[s:2s,
+    :s] is the same block for every pair because T is Toeplitz.  Every
+    factor is >= 0, so nothing cancels.
     """
     leaves, leaf = m.shape
-    subs = m.reshape(-1, _SUB)
-    power = T[:_SUB, :_SUB] / subs[:, :, None]
-    inv = _EYE + power
-    for _ in range(3):  # N^2, N^4, N^8
-        power = power @ power
-        inv += inv @ power
-    if leaf == _SUB:
-        inv /= subs[:, None, :]
-        return inv
-    # the 16-row inverses and each merged block are written into place: as
-    # separate arrays, their copies took longer than the products
-    per = leaf // _SUB
-    merged = np.zeros((leaves, leaf, leaf))
-    diagonal = np.einsum("ajbjc->ajbc", merged.reshape(leaves, per, _SUB, per, _SUB))
-    np.divide(inv.reshape(leaves, per, _SUB, _SUB), m.reshape(leaves, per, 1, _SUB), out=diagonal)
-    s = _SUB
+    inv = np.zeros((leaves, leaf, leaf))
+    np.divide(1.0, m, out=np.einsum("aii->ai", inv))
+    s = 1
     while s < leaf:
-        for j in range(0, leaf, 2 * s):
-            first, second = slice(j, j + s), slice(j + s, j + 2 * s)
-            np.matmul(merged[:, second, second] @ T[s : 2 * s, :s], merged[:, first, first], out=merged[:, second, first])
+        # the diagonal blocks of 2s rows, as a view that each merge writes into
+        pairs = leaf // (2 * s)
+        blocks = np.einsum("apbpc->apbc", inv.reshape(leaves, pairs, 2 * s, pairs, 2 * s))
+        np.matmul(blocks[:, :, s:, s:] @ T[s : 2 * s, :s], blocks[:, :, :s, :s], out=blocks[:, :, s:, :s])
         s *= 2
-    return merged
+    return inv
 
 
 def _tilted_rows(log_w: np.ndarray, D: np.ndarray, M0: int, M1: int) -> np.ndarray | None:

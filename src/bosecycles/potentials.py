@@ -47,6 +47,9 @@ __all__ = [
 
 _PERIODIZE_REL_TOL = 1e-10
 _PERIODIZE_MAX_SHELL = 10_000
+# periodization refuses a shell of more lattice points than this, as
+# _MAX_TRANSFORM_NODES bounds a transform
+_PERIODIZE_MAX_POINTS = 1 << 22
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # Gauss-Legendre nodes per profile segment for the polynomial integrands
 # (degree <= 4 for s^2 v^2, <= 5 for the overlap); 4 nodes are exact to degree 7
@@ -418,7 +421,11 @@ def tabulated_potential(r: np.ndarray, values: np.ndarray, d: int = 3, eta: floa
 
 def periodize(pot: PairPotential, L: float, x) -> float:
     """u_L(x) = sum_z u(x + L z) over the integer lattice, truncated when
-    the shell-decay estimate certifies a relative tail below 1e-10."""
+    the shell-decay estimate certifies a relative tail below 1e-10.
+
+    Shell Z (max_j |z_j| = Z) is summed face by face, so only its
+    (2Z+1)^d - (2Z-1)^d points are formed; a shell of more than
+    _PERIODIZE_MAX_POINTS points raises QuadratureError."""
     if not L > 0.0:
         raise ValueError(f"box side must be positive, got {L}")
     if not pot.eta > 0.0 or math.isnan(pot.eta):
@@ -428,11 +435,15 @@ def periodize(pot: PairPotential, L: float, x) -> float:
         raise ValueError(f"point must have {pot.d} components, got shape {x.shape}")
     total = float(np.asarray(pot.u(float(np.linalg.norm(x)))))
     for Z in range(1, _PERIODIZE_MAX_SHELL + 1):
-        ax = [np.arange(-Z, Z + 1)] * pot.d
-        grid = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1).reshape(-1, pot.d)
-        shell_mask = np.abs(grid).max(axis=1) == Z
-        shell_pts = x[None, :] + L * grid[shell_mask]
-        shell = float(np.asarray(pot.u(np.linalg.norm(shell_pts, axis=1))).sum())
+        points = (2 * Z + 1) ** pot.d - (2 * Z - 1) ** pot.d
+        if points > _PERIODIZE_MAX_POINTS:
+            raise QuadratureError(f"periodization shell {Z} has {points} points, more than {_PERIODIZE_MAX_POINTS}")
+        shell = 0.0
+        for i in range(pot.d):
+            # face i of the shell: z_i = +-Z, |z_j| <= Z - 1 before it and <= Z after it
+            axes = [np.arange(1 - Z, Z)] * i + [np.array([-Z, Z])] + [np.arange(-Z, Z + 1)] * (pot.d - 1 - i)
+            r2 = sum((xj + L * zj) ** 2 for xj, zj in zip(x, np.ix_(*axes)))
+            shell += float(np.asarray(pot.u(np.sqrt(r2).ravel())).sum())
         total += shell
         # remaining shells scale like (j/Z)^{-1-eta} relative to this one
         tail_factor = 1.0 if math.isinf(pot.eta) else max(1.0, Z / pot.eta)

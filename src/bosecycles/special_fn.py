@@ -314,8 +314,9 @@ def polylog(s: float, z: float) -> float:
     if z == 1.0 and s <= 1.0:
         raise ValueError(f"polylog diverges at z=1 for s <= 1, got s={s}")
     if z <= _SERIES_Z_MAX:
-        # tail bound z^{n+1}/((1-z) n^s): cut when below 1e-17 of the sum scale
-        nmax = max(40, math.ceil(math.log(1e-17 * z * (1.0 - z)) / math.log(z)))
+        # tail bound z^{n+1}/((1-z) n^s): cut when below 1e-17 of the sum scale,
+        # a sum of logs so that a subnormal z does not underflow the product
+        nmax = max(40, math.ceil((math.log(1e-17) + math.log(z) + math.log1p(-z)) / math.log(z)))
         n = np.arange(1, nmax + 1)
         return float(np.sum(z**n / n**s))
     return _power_exp_sum(s, -math.log(z))  # 0 <= t < 0.01005

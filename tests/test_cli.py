@@ -221,6 +221,13 @@ class TestMu:
         assert data["mu"] < 0.0
         assert data["condensate_fraction"] == 0.0
 
+    def test_subnormal_density(self, outdir, capsys):
+        # a subnormal fugacity: polylog must size its series without underflow
+        assert main(["mu", "--rho", "1e-320"]) == EXIT_OK
+        out = capsys.readouterr().out
+        mu = float(next(l for l in out.splitlines() if l.startswith("mu = ")).split("=")[1])
+        assert math.isfinite(mu) and mu < 0.0
+
 
 class TestBounds:
     def test_gaussian_inline(self, outdir, capsys):

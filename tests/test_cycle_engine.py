@@ -699,7 +699,8 @@ class TestTiltedKernels:
         T = np.where(lag > 0, wt[np.maximum(lag - 1, 0)], 0.0)
         return T, np.arange(M0, M0 + leaves * leaf, dtype=float).reshape(leaves, leaf)
 
-    @pytest.mark.parametrize("leaf", [16, 64])
+    # 2, 4, 8 and 32 rows check every merge level up from the diagonal
+    @pytest.mark.parametrize("leaf", [2, 4, 8, 16, 32, 64])
     @pytest.mark.parametrize("M0", [257, 5377])
     def test_leaf_inverses_match_linalg(self, leaf, M0):
         # factors up to e^3: diag(m) - T stays diagonally dominant, where
@@ -718,8 +719,9 @@ class TestTiltedKernels:
         # factors far from diagonal dominance (the ideal weights' tilted
         # factors reach 3500 near n = 64 at N = 8192): every entry of each
         # merged inverse is still a sum of nonnegative products
-        inv = cycle_engine._leaf_inverses(*self._leaf_system(np.random.default_rng(M0), M0, 64, 8.0))
-        assert np.all(inv >= 0.0) and np.all(np.isfinite(inv))
+        for leaf in (16, 64):
+            inv = cycle_engine._leaf_inverses(*self._leaf_system(np.random.default_rng(M0), M0, leaf, 8.0))
+            assert np.all(inv >= 0.0) and np.all(np.isfinite(inv))
 
 
 def _scalar_walk(table, rng):

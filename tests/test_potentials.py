@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import bosecycles
+from bosecycles import potentials
 from bosecycles.cycle_engine import SystemParams, WeightSequence, build_partition_table
 from bosecycles.potentials import (
     BoundPair,
@@ -31,7 +33,7 @@ from bosecycles.potentials import (
     tabulated_potential,
     validate_conditions,
 )
-from bosecycles.special_fn import thermal_wavelength, zeta
+from bosecycles.special_fn import theta1d, thermal_wavelength, zeta
 from bosecycles.thermo import UnsupportedDimensionError, ideal_free_energy_density
 
 ZETA32 = 2.6123753486854883
@@ -282,6 +284,30 @@ class TestPeriodize:
             periodize(p, 0.0, [0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="components"):
             periodize(p, 1.0, [0.0, 0.0])
+
+    @pytest.mark.parametrize("sigma", [0.5, 5.0, 20.0])
+    def test_wide_gaussian_matches_theta(self, sigma):
+        # at x = 0 the lattice sum of g e^{-pi x^2/sigma^2} factorizes into
+        # three theta sums
+        p = gaussian_potential(2.0, sigma, 3)
+        assert periodize(p, 1.0, np.zeros(3)) == pytest.approx(2.0 * theta1d(1.0 / sigma**2) ** 3, rel=1e-9)
+
+    def test_wide_gaussian_memory(self):
+        # each shell is formed from its faces: forming the whole cube of
+        # every shell up to Z ~ 100 peaks near 85 MB here
+        p = gaussian_potential(1.0, 20.0, 3)
+        tracemalloc.start()
+        try:
+            periodize(p, 1.0, np.zeros(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+    def test_shell_point_cap(self, monkeypatch):
+        monkeypatch.setattr(potentials, "_PERIODIZE_MAX_POINTS", 1000)
+        with pytest.raises(QuadratureError, match="more than 1000"):
+            periodize(gaussian_potential(1.0, 20.0, 3), 1.0, np.zeros(3))
 
 
 class TestAlpha:

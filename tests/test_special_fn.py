@@ -203,6 +203,11 @@ class TestPolylog:
         assert polylog(2.0, 1e-12) == pytest.approx(1e-12, rel=1e-10)
         assert polylog(2.0, 0.0) == 0.0
 
+    @pytest.mark.parametrize("z", [1e-308, 1e-320, 5e-324])
+    def test_tiny_z_is_its_first_term(self, z):
+        # 1e-17 z (1 - z) underflows to 0 here; its log must not be taken
+        assert polylog(1.5, z) == z
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             polylog(1.5, 1.1)

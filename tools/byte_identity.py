@@ -79,6 +79,7 @@ RUNS = {
     "weights-malformed": ["spectrum", "--rho", "1", "--N", "4", "--weights", "{bad_weights.csv}"],
     "mu-d2": ["mu", "--d", "2", "--rho", "1"],
     "mu-near-critical": ["mu", "--rho-lambda3", "2.6"],  # z in (0.99, 1): the polylog's Euler-Maclaurin sum
+    "mu-dilute": ["mu", "--rho", "1e-320"],  # a subnormal fugacity: polylog's series length from logs
     "bounds-box": ["bounds", "--potential", "{box.txt}", "--rho", "0.5"],
     "bounds-box-c-u": ["bounds", "--potential", "{box.txt}", "--rho", "0.5", "--c-u", "0.1"],
     "merger-5-m2": ["merger", "--vertices", "5", "--max-multiplicity", "2"],  # the cli-cold merger op
