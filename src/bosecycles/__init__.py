@@ -1,155 +1,23 @@
-"""Permutation-cycle statistics and free-energy bounds for Bose gases on a torus."""
+"""Permutation-cycle statistics and free-energy bounds for Bose gases on a torus.
 
-from __future__ import annotations
+The package exports exactly the union of its modules' ``__all__`` lists:
+a name is public when it is in its module's ``__all__``.
+"""
 
-from .coupling import (
-    CouplingCensus,
-    CouplingOptimum,
-    CouplingParams,
-    MergerMultigraph,
-    coupling_gain_rate,
-    coupling_sweep,
-    decomposes_into_circles,
-    enumerate_merger_graphs,
-    finite_size_gain_rate,
-    fluctuation_penalty,
-    is_merger_graph,
-    k_index,
-    optimize_coupling,
-)
-from .cycle_engine import (
-    CycleSpectrum,
-    CycleType,
-    LogPartitionTable,
-    SystemParams,
-    WeightSequence,
-    aggregate_macroscopic,
-    brute_force_partition_fn,
-    build_partition_table,
-    cycle_density_spectrum,
-    sample_cycle_type,
-    verify_auxiliary_identity,
-)
-from .potentials import (
-    BoundPair,
-    ConditionReport,
-    FreeEnergyBounds,
-    MeanInteractionBound,
-    PairPotential,
-    QuadratureError,
-    UnsupportedPotentialError,
-    alpha_nk,
-    autocorrelation_potential,
-    dcp_bound_weights,
-    dcp_partition_sandwich,
-    free_energy_bounds,
-    gaussian_potential,
-    load_potential,
-    mean_interaction_upper,
-    periodize,
-    phi_nn_bounds,
-    tabulated_potential,
-    validate_conditions,
-)
-from .special_fn import (
-    log_q_weights,
-    polylog,
-    q_n,
-    reduce_shift,
-    theta1d,
-    theta1d_shifted,
-    thermal_wavelength,
-    zeta,
-)
-from .thermo import (
-    DcpModel,
-    ThermoPoint,
-    condensate_fraction,
-    dcp_critical_density,
-    dcp_mu,
-    dcp_point,
-    finite_size_scan,
-    ideal_free_energy_density,
-    ideal_mu,
-    ideal_point,
-)
-from .wavefunctions import (
-    CycleWaveParams,
-    phase_theta_sum,
-    psi_gaussian_form,
-    psi_planewave_form,
-    psi_shifted,
-    wave_profile,
-)
+from .coupling import *
+from .cycle_engine import *
+from .potentials import *
+from .special_fn import *
+from .thermo import *
+from .wavefunctions import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundPair",
-    "ConditionReport",
-    "CouplingCensus",
-    "CouplingOptimum",
-    "CouplingParams",
-    "CycleSpectrum",
-    "CycleType",
-    "CycleWaveParams",
-    "DcpModel",
-    "FreeEnergyBounds",
-    "LogPartitionTable",
-    "MeanInteractionBound",
-    "MergerMultigraph",
-    "PairPotential",
-    "QuadratureError",
-    "SystemParams",
-    "ThermoPoint",
-    "UnsupportedPotentialError",
-    "WeightSequence",
-    "aggregate_macroscopic",
-    "alpha_nk",
-    "autocorrelation_potential",
-    "brute_force_partition_fn",
-    "build_partition_table",
-    "condensate_fraction",
-    "coupling_gain_rate",
-    "coupling_sweep",
-    "cycle_density_spectrum",
-    "dcp_bound_weights",
-    "dcp_critical_density",
-    "dcp_mu",
-    "dcp_partition_sandwich",
-    "dcp_point",
-    "decomposes_into_circles",
-    "enumerate_merger_graphs",
-    "finite_size_gain_rate",
-    "finite_size_scan",
-    "fluctuation_penalty",
-    "free_energy_bounds",
-    "gaussian_potential",
-    "ideal_free_energy_density",
-    "ideal_mu",
-    "ideal_point",
-    "is_merger_graph",
-    "k_index",
-    "load_potential",
-    "log_q_weights",
-    "mean_interaction_upper",
-    "optimize_coupling",
-    "periodize",
-    "phase_theta_sum",
-    "phi_nn_bounds",
-    "polylog",
-    "psi_gaussian_form",
-    "psi_planewave_form",
-    "psi_shifted",
-    "q_n",
-    "reduce_shift",
-    "sample_cycle_type",
-    "tabulated_potential",
-    "theta1d",
-    "theta1d_shifted",
-    "thermal_wavelength",
-    "validate_conditions",
-    "verify_auxiliary_identity",
-    "wave_profile",
-    "zeta",
-]
+__all__ = (
+    coupling.__all__
+    + cycle_engine.__all__
+    + potentials.__all__
+    + special_fn.__all__
+    + thermo.__all__
+    + wavefunctions.__all__
+)

@@ -40,7 +40,13 @@ from typing import Iterator, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .special_fn import _require_dimension, _require_length, log_q_weights, thermal_wavelength
+from .special_fn import (
+    _degeneracy,
+    _require_dimension,
+    _require_length,
+    log_q_weights,
+    thermal_wavelength,
+)
 
 __all__ = [
     "N_MAX",
@@ -124,6 +130,7 @@ class SystemParams:
         if not self.beta > 0.0:
             raise ValueError(f"inverse temperature must be positive, got {self.beta}")
         _require_length("thermal wavelength", "lambda", self.lam, 2, self.d)
+        _degeneracy(self.rho, self.lam**self.d)
 
     @property
     def lam(self) -> float:

@@ -30,6 +30,7 @@ __all__ = [
     "PairPotential",
     "BoundPair",
     "MeanInteractionBound",
+    "FreeEnergyBounds",
     "ConditionReport",
     "gaussian_potential",
     "autocorrelation_potential",

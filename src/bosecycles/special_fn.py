@@ -91,9 +91,9 @@ def _require_dimension(d: int) -> None:
 
 def _require_length(what: str, symbol: str, value: float, *exponents: int) -> None:
     """Reject a length that is not positive, or whose powers value^k (for
-    the given k) underflow to zero or overflow, so that densities N/L^d,
-    degeneracies rho lambda^d and theta arguments n lambda^2/L^2 stay
-    finite."""
+    the given k) underflow to zero or overflow, so that theta arguments
+    n lambda^2/L^2 stay finite; densities N/L^d and degeneracies
+    rho lambda^d are checked by _degeneracy."""
     if not value > 0.0:
         raise ValueError(f"{what} must be positive, got {value}")
     for k in exponents:
@@ -105,6 +105,17 @@ def _require_length(what: str, symbol: str, value: float, *exponents: int) -> No
             raise ValueError(
                 f"{what} {symbol} = {value!r} puts {symbol}^{k} outside the float range"
             )
+
+
+def _degeneracy(rho: float, lam_d: float) -> float:
+    """rho lambda^d, rejected with a ValueError naming rho unless rho is
+    finite and 0 < rho lambda^d < inf (subnormal values pass)."""
+    degeneracy = rho * lam_d
+    if not (math.isfinite(rho) and 0.0 < degeneracy < math.inf):
+        raise ValueError(
+            f"density rho = {rho!r} puts rho lambda^d = {degeneracy!r} outside the float range"
+        )
+    return degeneracy
 
 
 def _image_pairs(a: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:

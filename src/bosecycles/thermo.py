@@ -26,7 +26,14 @@ from .cycle_engine import (
     build_partition_table,
     cycle_density_spectrum,
 )
-from .special_fn import _require_dimension, _require_length, polylog, thermal_wavelength, zeta
+from .special_fn import (
+    _degeneracy,
+    _require_dimension,
+    _require_length,
+    polylog,
+    thermal_wavelength,
+    zeta,
+)
 
 __all__ = [
     "UnsupportedDimensionError",
@@ -215,7 +222,7 @@ class ThermoPoint:
 
     @property
     def rho_lam_d(self) -> float:
-        return self.rho * _thermal_volume(self.beta, self.d)
+        return _degeneracy(self.rho, _thermal_volume(self.beta, self.d))
 
 
 def _thermal_volume(beta: float, d: int) -> float:
@@ -255,7 +262,7 @@ def dcp_mu(rho: float, beta: float, model: DcpModel, d: int = 3) -> float:
     _check_model_context(model, beta, d)
     if not rho > 0.0:
         raise ValueError(f"density must be positive, got {rho}")
-    target = rho * _thermal_volume(beta, d)
+    target = _degeneracy(rho, _thermal_volume(beta, d))
     if target >= model.zeta_dcp:
         return model.mu_bar
     # bisect in y = beta (mu - mu_bar); S ~ phi_1 e^{-b} e^y as y -> -inf
@@ -284,7 +291,7 @@ def condensate_fraction(rho: float, beta: float, d: int = 3, model: DcpModel | N
     _check_model_context(model, beta, d)
     if not rho > 0.0:
         raise ValueError(f"density must be positive, got {rho}")
-    return max(0.0, 1.0 - model.zeta_dcp / (rho * _thermal_volume(beta, d)))
+    return max(0.0, 1.0 - model.zeta_dcp / _degeneracy(rho, _thermal_volume(beta, d)))
 
 
 def dcp_point(rho: float, beta: float, model: DcpModel, d: int = 3) -> ThermoPoint:

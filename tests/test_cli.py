@@ -625,8 +625,33 @@ class TestFailedRuns:
             (["oracle", "--max-n", "3", "--trials", "1", "--seed", "-1"], "--seed must be >= 0, got -1"),
             # lambda^d was formed before d was checked, and the message blamed lambda
             (["mu", "--rho", "1", "--lam", "2", "--d", "100000"], "dimension must be <= 1000, got 100000"),
+            # rho = N/L^3 overflowed: the spectrum wrote Infinity and NaN (exit 0)
+            (["spectrum", "--N", "1000", "--L", "3e-103"], "density rho = inf "),
+            # rho = N/L^3 overflowed: the config carried "rho": Infinity (exit 0)
+            (["sample", "--N", "1000", "--L", "3e-103"], "density rho = inf "),
+            # rho lambda^3 overflowed: wrote "rho_lam_d": Infinity (exit 0)
+            (["mu", "--rho", "1e308", "--beta", "1"], "density rho = 1e+308 "),
+            # rho lambda^3 overflowed: printed rho_lam_d = inf (exit 0)
+            (["spectrum", "--N", "5", "--rho", "1e308", "--beta", "1"], "density rho = "),
+            # rho lambda^3 underflowed to 0: "math domain error" named no input
+            (["mu", "--rho", "1e-300", "--lam", "1e-50"], "density rho = 1e-300 "),
+            # rho lambda^3 underflowed to 0: printed rho_lam_d = 0.0 (exit 0)
+            (["spectrum", "--N", "5", "--rho", "1e-300", "--lam", "1e-50"], "density rho = "),
         ],
-        ids=["bounds-d", "spectrum-d", "wavefn-n", "sample-seed", "oracle-seed", "mu-d-with-lam"],
+        ids=[
+            "bounds-d",
+            "spectrum-d",
+            "wavefn-n",
+            "sample-seed",
+            "oracle-seed",
+            "mu-d-with-lam",
+            "spectrum-rho-overflow",
+            "sample-rho-overflow",
+            "mu-degeneracy-overflow",
+            "spectrum-degeneracy-overflow",
+            "mu-degeneracy-underflow",
+            "spectrum-degeneracy-underflow",
+        ],
     )
     def test_out_of_range_input_named(self, outdir, capsys, argv, message):
         assert main([*argv, "--format", "json"]) == EXIT_USAGE

@@ -66,6 +66,8 @@ class TestSystemParams:
             dict(d=3, L=0.0, N=1, beta=1.0),
             dict(d=3, L=1.0, N=0, beta=1.0),
             dict(d=3, L=1.0, N=1, beta=-1.0),
+            # L^3 is a normal float, but rho = N/L^3 overflowed and the spectrum came out inf and nan
+            dict(d=3, L=3e-103, N=1000, beta=1.0),
         ],
     )
     def test_rejects_invalid(self, kw):
@@ -601,12 +603,22 @@ class TestSubBlockSolve:
         assert np.all(t.logQ == 0.0)
         assert np.all(t.D == 0.0)
 
-    @pytest.mark.parametrize("N", [64, 256, 600])
-    def test_fractions_match_mpmath(self, N):
+    @pytest.mark.parametrize(
+        "N,rho_lam_d",
+        [
+            pytest.param(64, 2.0, id="64"),
+            pytest.param(256, 2.0, id="256"),
+            pytest.param(600, 2.0, id="600"),
+            # past row 512 the blocks are (513, 256 rows) and (769, 332 rows);
+            # the long one solves with 64-row leaves, the last of 12 rows
+            pytest.param(1100, 2.0 * zeta(1.5), id="1100-above"),
+        ],
+    )
+    def test_fractions_match_mpmath(self, N, rho_lam_d):
         # rows past 16 come from tilted blocks, whose steps D are not
         # differences of large logs; an exact loop over rows 1..256 leaves
         # 1.3e-12 at N = 600
-        p = SystemParams.from_degeneracy(3, N, 2.0, 1.0)
+        p = SystemParams.from_degeneracy(3, N, rho_lam_d, 1.0)
         w = WeightSequence.ideal(p)
         fractions = cycle_density_spectrum(build_partition_table(p, w)).fractions
         assert np.max(np.abs(fractions / _mp_fractions(w.log_w, N) - 1.0)) <= 2e-13

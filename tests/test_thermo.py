@@ -184,6 +184,12 @@ class TestIdealPoint:
         with pytest.raises(ValueError, match=r"lambda\^3 outside the float range"):
             call(1.0, beta, 3)
 
+    @pytest.mark.parametrize("call", [ideal_point, condensate_fraction])
+    def test_degeneracy_out_of_float_range(self, call):
+        # rho lambda^3 overflowed to inf: the fraction read 1 and rho_lam_d inf
+        with pytest.raises(ValueError, match=r"density rho = 1e\+308 "):
+            call(1e308, 1.0)
+
 
 class TestDcpModelFamily:
     def test_ideal_reduction(self):

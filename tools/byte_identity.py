@@ -98,6 +98,11 @@ RUNS = {
     "sample-seed-negative": ["sample", "--rho", "1", "--N", "5", "--seed", "-1"],
     # refused by the eps rule before the O(N^2) build
     "spectrum-eps-zero": ["spectrum", "--N", "64", "--rho-lambda3", "2.0", "--eps", "0"],
+    # refused by the density check: N/L^3 or rho lambda^3 overflows, or rho lambda^3 underflows to 0
+    "spectrum-rho-overflow": ["spectrum", "--N", "1000", "--L", "3e-103"],
+    "mu-degeneracy-overflow": ["mu", "--rho", "1e308", "--beta", "1"],
+    "mu-degeneracy-underflow": ["mu", "--rho", "1e-300", "--lam", "1e-50"],
+    "spectrum-degeneracy-underflow": ["spectrum", "--N", "5", "--rho", "1e-300", "--lam", "1e-50"],
 }
 FORMATS = ("csv", "json")
 
