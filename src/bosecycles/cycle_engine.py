@@ -26,8 +26,10 @@ The cap takes about a third of a second.
 
 Exact cycle types are drawn by chop-down inversion of the same law:
 each step walks n = 1, 2, ... over the terms w_n Q_{M-n}/Q_M, so a draw
-costs O(N) in all and leaves no state on the table.  Its uniforms come
-in blocks, and the Generator is rewound to the count used.
+costs O(N) in all.  The table keeps one list copy of its weights and
+steps for the walk, built at its first draw and never grown by later
+ones.  The uniforms come in blocks, and the Generator is rewound to the
+count used.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -226,6 +229,9 @@ class LogPartitionTable:
     ``D`` holds the steps D_M = log Q_M - log Q_{M-1} for M = 1..N (so
     D[M-1] is D_M).  They stay O(1) where log Q itself reaches 10^4 and
     beyond; when not given they are taken as np.diff(logQ).
+
+    The sampler reads list copies of log w_1..w_N and D, made at the first
+    draw and kept, so the arrays must not be modified after a draw.
     """
 
     logQ: np.ndarray
@@ -240,6 +246,15 @@ class LogPartitionTable:
     @property
     def N(self) -> int:
         return self.logQ.size - 1
+
+    @cached_property
+    def _walk_lists(self) -> tuple[list[float], list[float]]:
+        """log w_1..w_N and D as lists for the sampler's walk.
+
+        Built at the first draw, about 64 N bytes, and the same for every
+        later draw and every M: unlike a per-M cumulative cache, it does
+        not grow with the draws."""
+        return self.weights.log_w[: self.N].tolist(), self.D.tolist()
 
     def log_ratios(self, M: int | None = None) -> np.ndarray:
         """log Q_{M-n} - log Q_M for n = 1..M (M defaults to N), as a
@@ -285,7 +300,7 @@ class CycleType:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        if any(p < 1 for p in self.parts):
+        if self.parts and min(self.parts) < 1:
             raise ValueError("cycle lengths must be >= 1")
 
     @property
@@ -556,8 +571,9 @@ def sample_cycle_type(table: LogPartitionTable, seed) -> CycleType:
     w_n Q_{M-n}/Q_M (its log a running sum of the steps D) until the sum
     passes u M; the terms add up to M, and a sum that rounding leaves
     short at n = M returns M.  A step that returns n sums n terms and the
-    lengths add up to N, so a draw costs O(N) whatever the table, and the
-    table keeps nothing of it.
+    lengths add up to N, so a draw costs O(N) whatever the table.  The
+    table keeps one list copy of its weights and steps for the walk,
+    built at its first draw and never grown.
 
     The uniforms are drawn in growing blocks.  At the end the Generator's
     saved state is restored and advanced by exactly the count used, so it
@@ -570,9 +586,8 @@ def sample_cycle_type(table: LogPartitionTable, seed) -> CycleType:
 
 def _cycle_types(table: LogPartitionTable, rng: np.random.Generator) -> Iterator[CycleType]:
     # the draws of repeated sample_cycle_type(table, rng) calls, one per
-    # next(), with the table's arrays made lists once for all of them
-    log_w = table.weights.log_w[: table.N].tolist()
-    D = table.D.tolist()
+    # next(), walking the list copies of log w and D the table keeps
+    log_w, D = table._walk_lists
     exp = math.exp
     while True:
         state = rng.bit_generator.state
@@ -585,14 +600,21 @@ def _cycle_types(table: LogPartitionTable, rng: np.random.Generator) -> Iterator
                 uniforms += rng.random(max(64, used)).tolist()
             target = uniforms[used] * M
             used += 1
-            total = log_ratio = 0.0
-            n = 0
-            while n < M:
-                log_ratio -= D[M - 1 - n]  # log Q_{M-n-1} - log Q_M
-                total += exp(log_w[n] + log_ratio)
-                n += 1
-                if total > target:
-                    break
+            # the first term ends most steps, so it is taken before the
+            # loop; j = M - n counts down, and each partial sum is the one
+            # a walk from total = log_ratio = 0.0 would form
+            j = M - 1
+            log_ratio = -D[j]  # log Q_{M-n} - log Q_M
+            total = exp(log_w[0] + log_ratio)
+            n = 1
+            if not total > target:  # not `<=`: a NaN sum walks on to M
+                while n < M:
+                    j -= 1
+                    log_ratio -= D[j]
+                    total += exp(log_w[n] + log_ratio)
+                    n += 1
+                    if total > target:
+                        break
             parts.append(n)
             M -= n
         # rewind: the Generator ends where `used` scalar rng.random() calls leave it

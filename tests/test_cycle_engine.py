@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -777,3 +778,91 @@ class TestSamplerStream:
     def test_int_seed_matches_scalar_walk(self, seed):
         t = _ideal_table(N=2048, rho_lam_d=2.0 * ZETA32)
         assert sample_cycle_type(t, seed).parts == _scalar_walk(t, np.random.default_rng(seed))
+
+
+class _ConstantGenerator:
+    """A stand-in for np.random.Generator that yields the uniform ``u``
+    every time, with a state that counts the uniforms drawn and rewinds."""
+
+    def __init__(self, u):
+        self.u = u
+        self.state = 0
+        self.bit_generator = self
+
+    def random(self, size=None):
+        if size is None:
+            self.state += 1
+            return self.u
+        self.state += size
+        return np.full(size, self.u)
+
+
+class TestWalk:
+    """The walk takes its first term before the loop and reads list copies
+    of log w and D that the table keeps: the draws are still those of the
+    scalar walk, and the copies neither change nor grow with the draws."""
+
+    def test_single_particle_matches_scalar_walk(self):
+        t = _ideal_table(N=1)
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(5):
+            assert sample_cycle_type(t, rng).parts == _scalar_walk(t, ref) == (1,)
+        assert rng.random() == ref.random()
+
+    def test_first_term_alone_crosses(self):
+        # below the transition w_1 Q_{M-1}/Q_M is about half of M; this
+        # seed's first u M falls under it, so its first step returns 1
+        t = _ideal_table(N=64, rho_lam_d=0.7 * ZETA32)
+        seed = 3
+        assert np.random.default_rng(seed).random() * 64 < math.exp(t.weights.log_w[0] - t.D[63])
+        parts = sample_cycle_type(t, seed).parts
+        assert parts[0] == 1
+        assert parts == _scalar_walk(t, np.random.default_rng(seed))
+
+    def test_lognormal_weights_match_scalar_walk(self):
+        p = SystemParams(d=3, L=1.0, N=1024, beta=1.0)
+        t = build_partition_table(p, WeightSequence(np.random.default_rng(3).normal(0.0, 1.0, 1024)))
+        rng, ref = np.random.default_rng(29), np.random.default_rng(29)
+        for _ in range(50):
+            assert sample_cycle_type(t, rng).parts == _scalar_walk(t, ref)
+        assert rng.random() == ref.random()
+
+    def test_rounding_short_sum_returns_m(self):
+        # D raised by 1e-13 makes every Q_M a little too large, so the terms
+        # of each step sum to just under M and u = 1 - 2^-53 is never passed
+        base = _ideal_table(N=64, rho_lam_d=2.0 * ZETA32)
+        t = LogPartitionTable(base.logQ, base.weights, base.params, D=base.D + 1e-13)
+        terms = np.exp(t.weights.log_w + t.log_ratios())
+        u = 1.0 - 2.0**-53
+        assert 64 * (1.0 - 1e-9) < math.fsum(terms) < u * 64
+        stub = _ConstantGenerator(u)
+        assert next(cycle_engine._cycle_types(t, stub)).parts == (64,)
+        assert stub.state == 1
+        assert _scalar_walk(t, _ConstantGenerator(u)) == (64,)
+
+    def test_walk_lists_built_once(self):
+        t = _ideal_table(N=2048, rho_lam_d=2.0 * ZETA32)
+        assert "_walk_lists" not in vars(t)
+        rng = np.random.default_rng(11)
+        sample_cycle_type(t, rng)
+        lists = t._walk_lists
+        assert lists[0] == t.weights.log_w.tolist() and lists[1] == t.D.tolist()
+        for _ in range(199):
+            sample_cycle_type(t, rng)
+        assert t._walk_lists is lists
+
+    def test_draws_after_the_first_hold_no_memory(self):
+        t = _ideal_table(N=4096, rho_lam_d=2.0 * ZETA32)
+        rng = np.random.default_rng(23)
+        tracemalloc.start()
+        try:
+            sample_cycle_type(t, rng)
+            after_first = tracemalloc.get_traced_memory()[0]
+            for _ in range(200):
+                sample_cycle_type(t, rng)
+            after_all = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # the first draw made the lists: two of 4096 floats, 32 bytes each
+        assert after_first >= 2 * 4096 * 32
+        assert abs(after_all - after_first) <= 64 * 1024

@@ -29,8 +29,10 @@ rho*lambda^3 (below and above the d = 3 transition), records:
 ``--mode sampling``, for each (N, draws) job at rho*lambda^3 = 2 zeta(3/2),
 the last one a single draw at ``N_MAX``, draws the cycle types from one
 seeded Generator and records the wall time per draw (and of the first,
-cold, draw) and the MB of numpy arrays the table holds before and after
-its draws.  Each job counts the draws that are identical on both sides.
+cold, draw), the MB of numpy arrays the table holds before and after
+its draws, and the MB of the walk lists it keeps after them (the lists
+and their floats, 0 for a table that keeps none).  Each job counts the
+draws that are identical on both sides.
 
 In these two modes the checkouts alternate: each process of a row runs
 once per checkout, the one that goes first flipping from process to
@@ -159,6 +161,14 @@ def recursion_row(bc, N: int, side: str, accuracy: bool = True) -> dict:
     return row
 
 
+def _walk_lists_mb(table) -> float:
+    """MB of the lists a table keeps for its draws, with their floats:
+    read from the instance dict, so a table that keeps none reads 0 and
+    none is built here.  _array_mb counts numpy arrays only."""
+    lists = vars(table).get("_walk_lists", ())
+    return sum(sys.getsizeof(seq) + sum(map(sys.getsizeof, seq)) for seq in lists) / 2**20
+
+
 def sampling_row(bc, N: int, draws: int) -> dict:
     from workloads import _array_mb
 
@@ -179,6 +189,7 @@ def sampling_row(bc, N: int, draws: int) -> dict:
         "first_draw_ms": 1e3 * walls[0],
         "held_mb_before_draws": held_before,
         "held_mb": _array_mb(table),
+        "walk_lists_mb": _walk_lists_mb(table),
         "digests": digests,
     }
 

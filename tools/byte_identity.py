@@ -49,6 +49,8 @@ RUNS = {
     "spectrum-config": ["spectrum", "--config", "{run.cfg}"],
     # 20 tilted blocks, the last of 4 rows, compared as a table and not only through seeded draws
     "spectrum-4100": ["spectrum", "--rho-lambda3", "1.8", "--N", "4100"],
+    # a block of 2880 rows over 3968 lags: the one build here whose cross term takes the matrix products
+    "spectrum-8192-above": ["spectrum", "--rho-lambda3", "5.2", "--N", "8192"],
     "scan": ["scan", "--rho-lambda3", "3.0", "--N-list", "16,64,256"],
     "mu-below": ["mu", "--rho-lambda3", "1.0"],
     "mu-at": ["mu", "--rho-lambda3", "2.6123753486854883"],
