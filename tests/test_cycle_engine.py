@@ -866,3 +866,126 @@ class TestWalk:
         # the first draw made the lists: two of 4096 floats, 32 bytes each
         assert after_first >= 2 * 4096 * 32
         assert abs(after_all - after_first) <= 64 * 1024
+
+
+class TestCertifiedWalk:
+    """numpy partial sums decide the long steps, the first step and the
+    first term only where a rounding margin proves the scalar walk would
+    cross at the same n; every draw is still the scalar walk's."""
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
+    @pytest.mark.parametrize("N", [4096, 16000])
+    @pytest.mark.parametrize("fraction", [0.7, 2.0])
+    def test_long_draws_match_scalar_walk(self, bit_generator, N, fraction):
+        t = _ideal_table(N=N, rho_lam_d=fraction * ZETA32)
+        rng = np.random.Generator(bit_generator(37))
+        ref = np.random.Generator(bit_generator(37))
+        for _ in range(3):
+            assert sample_cycle_type(t, rng).parts == _scalar_walk(t, ref)
+        assert rng.random() == ref.random()
+
+    def test_lognormal_weights_at_4096(self):
+        p = SystemParams(d=3, L=1.0, N=4096, beta=1.0)
+        t = build_partition_table(p, WeightSequence(np.random.default_rng(41).normal(0.0, 1.0, 4096)))
+        rng, ref = np.random.default_rng(43), np.random.default_rng(43)
+        for _ in range(10):
+            assert sample_cycle_type(t, rng).parts == _scalar_walk(t, ref)
+        assert rng.random() == ref.random()
+
+    def test_weights_with_zeros(self):
+        # log w = -inf for n = 5, 10, ...: those terms are exact zeros in
+        # both walks, so no step ends at such an n
+        p = SystemParams.from_degeneracy(3, 4096, 2.0 * ZETA32, 1.0)
+        weights = WeightSequence.ideal(p)
+        weights.log_w[4::5] = -np.inf
+        t = build_partition_table(p, weights)
+        rng, ref = np.random.default_rng(47), np.random.default_rng(47)
+        for _ in range(10):
+            parts = sample_cycle_type(t, rng).parts
+            assert parts == _scalar_walk(t, ref)
+            assert all(n % 5 for n in parts)
+        assert rng.random() == ref.random()
+
+    def test_rounding_short_chunks_fall_back(self, monkeypatch):
+        # as in TestWalk, D raised by 1e-13 leaves every step's sum short of
+        # u M for u = 1 - 2^-53: the chunks reach M without a crossing and
+        # the walk returns M
+        base = _ideal_table(N=512, rho_lam_d=2.0 * ZETA32)
+        t = LogPartitionTable(base.logQ, base.weights, base.params, D=base.D + 1e-13)
+        terms = np.exp(t.weights.log_w + t.log_ratios())
+        u = 1.0 - 2.0**-53
+        assert math.fsum(terms) < u * 512
+        decided = _spy(monkeypatch, "_chunked_crossing")
+        stub = _ConstantGenerator(u)
+        assert next(cycle_engine._cycle_types(t, stub)).parts == (512,) == _scalar_walk(t, _ConstantGenerator(u))
+        assert stub.state == 1
+        assert decided == [0]
+
+    @pytest.mark.parametrize("where", ["listed", "chunked"])
+    def test_target_on_a_numpy_sum_falls_back(self, where, monkeypatch):
+        # N = 4096 is a power of two, so u = S/N is exact and u N lands on
+        # the numpy partial sum S: neither the first step's list nor a
+        # chunk may decide there, and the walk gives the crossing
+        t = _ideal_table(N=4096, rho_lam_d=2.0 * ZETA32)
+        log_w, D = t.weights.log_w, t.D
+        if where == "listed":
+            target = t._walk_lists[3][999]
+        else:
+            head = cycle_engine._HEAD
+            log_ratios = -np.cumsum(D[::-1][:head])
+            total = 0.0
+            for x in log_w[:head] + log_ratios:
+                total += math.exp(x)
+            sums, _ = cycle_engine._walk_sums(log_w, D, 4096, head, float(log_ratios[-1]), total, 256)
+            target = float(sums[200])
+        u = target / 4096
+        assert u * 4096 == target < 4096
+        listed = _spy(monkeypatch, "_listed_crossing")
+        chunked = _spy(monkeypatch, "_chunked_crossing")
+        parts = next(cycle_engine._cycle_types(t, _ConstantGenerator(u))).parts
+        assert parts == _scalar_walk(t, _ConstantGenerator(u))
+        assert listed == [0] and chunked[0] == 0
+
+    def test_numpy_decides_most_long_steps(self, monkeypatch):
+        t = _ideal_table(N=4096, rho_lam_d=2.0 * ZETA32)
+        listed = _spy(monkeypatch, "_listed_crossing")
+        chunked = _spy(monkeypatch, "_chunked_crossing")
+        rng, ref = np.random.default_rng(53), np.random.default_rng(53)
+        long_steps = 0
+        for _ in range(20):
+            parts = sample_cycle_type(t, rng).parts
+            assert parts == _scalar_walk(t, ref)
+            long_steps += sum(n > cycle_engine._HEAD for n in parts)
+        # the first step, unless its first term ends it, is bisected on the
+        # table's list; every other step past the head goes to the chunks
+        assert 10 <= len(listed) <= 20 and len(chunked) >= 40
+        assert len(listed) + len(chunked) >= long_steps
+        assert sum(map(bool, listed + chunked)) >= 0.95 * (len(listed) + len(chunked))
+
+    def test_widened_margin_leaves_every_step_to_the_walk(self, monkeypatch):
+        # a margin of 1 makes every numpy bound useless: the first terms
+        # are all 0, and no list or chunk decides a step
+        monkeypatch.setattr(cycle_engine, "_ABOVE", 2.0)
+        monkeypatch.setattr(cycle_engine, "_BELOW", 0.0)
+        t = _ideal_table(N=4096, rho_lam_d=2.0 * ZETA32)
+        listed = _spy(monkeypatch, "_listed_crossing")
+        chunked = _spy(monkeypatch, "_chunked_crossing")
+        rng, ref = np.random.default_rng(59), np.random.default_rng(59)
+        for _ in range(5):
+            assert sample_cycle_type(t, rng).parts == _scalar_walk(t, ref)
+        assert not any(t._walk_lists[2])
+        assert len(listed) == 5 and not any(listed)
+        assert len(chunked) >= 10 and not any(chunked)
+
+
+def _spy(monkeypatch, name):
+    """Record what cycle_engine.<name> returns, call by call."""
+    returned = []
+    function = getattr(cycle_engine, name)
+
+    def spy(*args):
+        returned.append(function(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(cycle_engine, name, spy)
+    return returned

@@ -26,13 +26,15 @@ rho*lambda^3 (below and above the d = 3 transition), records:
   N = 16000, in long double (first process only: it is deterministic);
 - sum_n rho_n / rho - 1 of ``cycle_density_spectrum``, summed with fsum.
 
-``--mode sampling``, for each (N, draws) job at rho*lambda^3 = 2 zeta(3/2),
-the last one a single draw at ``N_MAX``, draws the cycle types from one
+``--mode sampling``, for each (N, draws, side) job, above the transition
+(rho*lambda^3 = 2 zeta(3/2)) and below it (0.7 zeta(3/2)), each side's
+last one a single draw at ``N_MAX``, draws the cycle types from one
 seeded Generator and records the wall time per draw (and of the first,
 cold, draw), the MB of numpy arrays the table holds before and after
-its draws, and the MB of the walk lists it keeps after them (the lists
-and their floats, 0 for a table that keeps none).  Each job counts the
-draws that are identical on both sides.
+its draws, and the MB of the lists it keeps for the walk after them
+(every list in its instance dict, with their floats; 0 for a table
+that keeps none).  Each job counts the draws that are identical on both
+sides.
 
 In these two modes the checkouts alternate: each process of a row runs
 once per checkout, the one that goes first flipping from process to
@@ -76,7 +78,15 @@ LONGDOUBLE_N_MAX = 16000  # the long-double reference takes ~15 s at 16000, ~90 
 RECURSION_ROWS = tuple((N, side) for N in LADDER for side in DEGENERACIES)
 RECURSION_PROCESSES = 5  # fresh processes per row and checkout
 RECURSION_BUILDS = 5  # builds per process below N = 20000 (one above)
-SAMPLING_JOBS = ((2048, 40), (4096, 100), (16000, 20), (100_000, 1))  # (N, draws); the last N is N_MAX
+SAMPLING_JOBS = (  # (N, draws, side); each side's last N is N_MAX
+    (2048, 40, "above"),
+    (4096, 100, "above"),
+    (16000, 20, "above"),
+    (100_000, 1, "above"),
+    (4096, 100, "below"),
+    (16000, 20, "below"),
+    (100_000, 1, "below"),
+)
 SAMPLING_SEED = 2011
 LAYER = "cycle_engine.build_partition_table"
 DRAW = "cycle_engine.sample_cycle_type"
@@ -118,8 +128,8 @@ WHAT = {
     "recursion": f"build_partition_table on ideal d = 3 torus weights: median and quartiles of the per-process best "
     f"build over {RECURSION_PROCESSES} fresh processes per checkout, before and after alternating process by "
     "process, same machine and arguments",
-    "sampling": "sample_cycle_type on ideal d = 3 torus weights at rho*lambda^3 = 2 zeta(3/2), before and after "
-    "alternating row by row, same machine and arguments",
+    "sampling": "sample_cycle_type on ideal d = 3 torus weights at rho*lambda^3 = 2 zeta(3/2) (above) and "
+    "0.7 zeta(3/2) (below), before and after alternating row by row, same machine and arguments",
     "cli-cold": f"median wall time of {CLI_REPS} fresh `python -m bosecycles` runs per cli-cold argv and output "
     "format, before and after alternating run by run, same machine and arguments",
 }
@@ -163,16 +173,20 @@ def recursion_row(bc, N: int, side: str, accuracy: bool = True) -> dict:
 
 def _walk_lists_mb(table) -> float:
     """MB of the lists a table keeps for its draws, with their floats:
-    read from the instance dict, so a table that keeps none reads 0 and
-    none is built here.  _array_mb counts numpy arrays only."""
-    lists = vars(table).get("_walk_lists", ())
+    every list in the instance dict, alone or in a tuple, so a table that
+    keeps none reads 0 and none is built here.  _array_mb counts numpy
+    arrays only."""
+    kept = []
+    for value in vars(table).values():
+        kept += value if isinstance(value, tuple) else [value]
+    lists = [seq for seq in kept if isinstance(seq, list)]
     return sum(sys.getsizeof(seq) + sum(map(sys.getsizeof, seq)) for seq in lists) / 2**20
 
 
-def sampling_row(bc, N: int, draws: int) -> dict:
+def sampling_row(bc, N: int, draws: int, side: str) -> dict:
     from workloads import _array_mb
 
-    params = bc.SystemParams.from_degeneracy(3, N, DEGENERACIES["above"], 1.0)
+    params = bc.SystemParams.from_degeneracy(3, N, DEGENERACIES[side], 1.0)
     table = bc.build_partition_table(params, bc.WeightSequence.ideal(params))
     held_before = _array_mb(table)
     rng = np.random.default_rng(SAMPLING_SEED)
@@ -185,6 +199,8 @@ def sampling_row(bc, N: int, draws: int) -> dict:
     return {
         "N": N,
         "draws": draws,
+        "side": side,
+        "rho_lambda3": DEGENERACIES[side],
         "per_draw_ms": 1e3 * sum(walls) / draws,
         "first_draw_ms": 1e3 * walls[0],
         "held_mb_before_draws": held_before,
@@ -285,10 +301,10 @@ def run_tree(tree: Path, mode: str, seed: int, rows: list) -> dict:
 
 def count_identical(before: dict, after: dict) -> None:
     """Replace each sampling row's draw digests by the count of draws equal on both sides."""
-    earlier = {(row["N"], row["draws"]): row.pop("digests") for row in before["rows"]}
+    earlier = {(row["N"], row["draws"], row["side"]): row.pop("digests") for row in before["rows"]}
     for row in after["rows"]:
         digests = row.pop("digests")
-        row["identical_draws"] = sum(a == b for a, b in zip(earlier[row["N"], row["draws"]], digests))
+        row["identical_draws"] = sum(a == b for a, b in zip(earlier[row["N"], row["draws"], row["side"]], digests))
 
 
 def main() -> None:

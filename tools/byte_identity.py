@@ -69,6 +69,9 @@ RUNS = {
     "sample-weights": ["sample", "--L", "2", "--N", "8", "--beta", "1", "--weights", "{weights.csv}", "--draws", "3"],
     "sample-2048": ["sample", "--rho-lambda3", "3.0", "--N", "2048", "--seed", "11", "--draws", "20"],
     "sample-4096": ["sample", "--rho-lambda3", "1.8", "--N", "4096", "--seed", "12", "--draws", "20"],
+    # draws whose long steps and first steps are decided on numpy partial sums, on both sides
+    "sample-16000-above": ["sample", "--rho-lambda3", "5.2", "--N", "16000", "--seed", "13", "--draws", "5"],
+    "sample-16000-below": ["sample", "--rho-lambda3", "1.8", "--N", "16000", "--seed", "13", "--draws", "5"],
     "merger-3": ["merger", "--vertices", "3"],
     "merger-3-cross": ["merger", "--vertices", "3", "--cross-check"],
     "merger-config-cross": ["merger", "--config", "{merger.cfg}"],
