@@ -333,6 +333,18 @@ def polylog(s: float, z: float) -> float:
     return _power_exp_sum(s, -math.log(z))  # 0 <= t < 0.01005
 
 
+def _polylog_exp(s: float, y: float) -> float:
+    """polylog(s, e^y) for y <= 0.  Near z = 1 the Euler-Maclaurin sum takes
+    t = -y itself: t = -log z from a rounded z = e^y carries an absolute
+    error near 1e-16, a relative error of about 1e-16 / |y|."""
+    if not y <= 0.0:
+        raise ValueError(f"polylog log-fugacity must be <= 0, got {y}")
+    z = math.exp(y)
+    if y == 0.0 or z <= _SERIES_Z_MAX:
+        return polylog(s, z)
+    return _power_exp_sum(s, -y)
+
+
 def q_n(params, n: int, shift=None) -> float:
     """Single-particle torus weight at inverse temperature n*beta.
 

@@ -1,10 +1,10 @@
 """Chemical potentials, critical densities, condensate fractions, and
 free-energy densities for the ideal gas and cycle-decoupling surrogates.
 
-A decoupling surrogate multiplies the ideal cycle weight by phi_n with
-exponential rate b, which shifts the saturation point to mu_bar = -b/beta
-and the critical value to zeta_dcp = sum_n phi_n e^{-b n} / n^{d/2}.  The
-ideal gas is the surrogate phi_n = 1 (``DcpModel.ideal``), whose mu solves
+A decoupling surrogate multiplies the ideal cycle weight by
+phi_n = e^{b n} / n^gamma, which shifts the saturation point to
+mu_bar = -b/beta and the critical value to zeta_dcp = zeta(gamma + d/2).
+The ideal gas is the surrogate phi_n = 1 (``DcpModel.ideal``), whose mu solves
 g_{d/2}(e^{beta mu}) = rho lambda^d for mu <= 0 and saturates at 0 when
 rho lambda^d >= zeta(d/2); one solver serves both.
 """
@@ -28,23 +28,21 @@ from .cycle_engine import (
 )
 from .special_fn import (
     _degeneracy,
+    _polylog_exp,
     _require_dimension,
     _require_length,
-    polylog,
     thermal_wavelength,
     zeta,
 )
 
 __all__ = [
     "UnsupportedDimensionError",
-    "TruncationError",
     "ThermoPoint",
     "DcpModel",
     "ScanRow",
     "ideal_mu",
     "ideal_free_energy_density",
     "ideal_point",
-    "estimate_rate",
     "dcp_mu",
     "dcp_critical_density",
     "dcp_point",
@@ -54,15 +52,10 @@ __all__ = [
 
 _BISECT_MAX_ITER = 200
 _BISECT_REL_WIDTH = 1e-12
-_TAIL_REL_TOL = 1e-12
 
 
 class UnsupportedDimensionError(ValueError):
     """Condensation quantities need d >= 3; g_{d/2} diverges at z = 1 below that."""
-
-
-class TruncationError(RuntimeError):
-    """A series over supplied weights could not be certified to the target tolerance."""
 
 
 def _require_condensing_dimension(d: int) -> None:
@@ -73,74 +66,23 @@ def _require_condensing_dimension(d: int) -> None:
     _require_dimension(d)
 
 
-def _certified_series(log_w: np.ndarray, t: float, s: float, what: str) -> float:
-    """Sum exp(log_w[n-1] + t n - s log n) over n = 1..len(log_w),
-    certifying a geometric bound on the truncated tail.
-
-    The bound uses the largest ratio among the last few terms; it is valid
-    whenever the decay past the end of the array is at least that fast.
-    Polynomially decaying tails can never be certified this way and raise
-    TruncationError, as do growing tails.
-    """
-    n = np.arange(1, log_w.size + 1, dtype=float)
-    terms = np.exp(log_w + t * n - s * np.log(n))
-    total = float(terms.sum())
-    last = float(terms[-1])
-    if last == 0.0:
-        return total
-    window = terms[-6:]
-    window = window[window > 0.0]
-    if window.size < 2:
-        raise TruncationError(f"{what}: too few terms to bound the tail")
-    r = float((window[1:] / window[:-1]).max())
-    if r >= 1.0:
-        raise TruncationError(
-            f"{what}: terms not decaying at the end (last ratio {r:.6g}); "
-            "supply a longer weight array or the analytic family form"
-        )
-    bound = last * r / (1.0 - r)
-    if bound > _TAIL_REL_TOL * total:
-        raise TruncationError(
-            f"{what}: geometric tail bound {bound:.3e} exceeds "
-            f"{_TAIL_REL_TOL:.0e} of the partial sum {total:.6g}; "
-            "supply a longer weight array or the analytic family form"
-        )
-    return total
-
-
-def estimate_rate(weights: WeightSequence) -> float:
-    """Exponential rate b = lim n^{-1} ln phi_n, estimated as the slope of
-    a least-squares line through ln phi_n over the last third of the array.
-
-    Exact for data whose log is linear there.  On data with a curving
-    subexponential correction the fit lands near the window-average slope
-    rather than the true asymptote, so a certification step downstream
-    may still reject the estimate; supply b explicitly in that case.
-    """
-    log_phi = weights.log_w
-    n = np.arange(1, log_phi.size + 1, dtype=float)
-    k = max(2, log_phi.size // 3)
-    return float(np.polyfit(n[-k:], log_phi[-k:], 1)[0])
-
-
 @dataclass(frozen=True)
 class DcpModel:
-    """Cycle-decoupling surrogate: weights phi_n with exponential rate b.
+    """Cycle-decoupling surrogate phi_n = e^{b n} / n^gamma.
 
-    Built either from the analytic family phi_n = exp(c e^{-eps beta} n) /
-    n^gamma, held as (b, gamma) alone, whose sums reduce exactly to
-    polylogarithms, or from an explicit weight array ``phi`` whose sums
-    are certified term by term.  The model is bound to the (beta, d) it
-    was built for.
+    The weights of the analytic family, with rate b = c e^{-eps beta} and
+    power gamma, held as (b, gamma) alone: every sum over them is a
+    polylogarithm of order gamma + s.  The dcp weights q_n a^n are the
+    member gamma = 0, b = log a, and the ideal gas is b = gamma = 0.  The
+    model is bound to the (beta, d) it was built for.
     """
 
-    phi: WeightSequence | None  # set in array mode; None in family mode
     b: float
+    gamma: float
     mu_bar: float
     zeta_dcp: float
     beta: float
     d: int
-    gamma: float | None = None  # set in family mode; None in array mode
 
     @classmethod
     def from_family(cls, c: float, eps: float, gamma: float, beta: float, d: int) -> "DcpModel":
@@ -156,19 +98,7 @@ class DcpModel:
             )
         b = c * math.exp(-eps * beta)
         zeta_dcp = zeta(gamma + d / 2.0)
-        return cls(phi=None, b=b, mu_bar=-b / beta, zeta_dcp=zeta_dcp, beta=beta, d=d, gamma=gamma)
-
-    @classmethod
-    def from_weights(
-        cls, phi: WeightSequence, beta: float, d: int, b: float | None = None
-    ) -> "DcpModel":
-        """Array mode; b defaults to the sequence rate or a tail regression."""
-        _require_condensing_dimension(d)
-        if b is None:
-            b = phi.rate if phi.rate is not None else estimate_rate(phi)
-        what = "saturation sum over phi_n e^{-bn}/n^{d/2}"
-        zeta_dcp = _certified_series(phi.log_w, -b, d / 2.0, what)
-        return cls(phi=phi, b=float(b), mu_bar=-b / beta, zeta_dcp=zeta_dcp, beta=beta, d=d)
+        return cls(b=b, gamma=gamma, mu_bar=-b / beta, zeta_dcp=zeta_dcp, beta=beta, d=d)
 
     @classmethod
     def ideal(cls, beta: float, d: int) -> "DcpModel":
@@ -176,30 +106,23 @@ class DcpModel:
         whose mu_bar = -b/beta is -0.0: the ideal mu saturates at +0.0."""
         _require_condensing_dimension(d)
         thermal_wavelength(beta)  # rejects a beta that is not positive and finite
-        return cls(phi=None, b=0.0, mu_bar=0.0, zeta_dcp=zeta(d / 2.0), beta=beta, d=d, gamma=0.0)
+        return cls(b=0.0, gamma=0.0, mu_bar=0.0, zeta_dcp=zeta(d / 2.0), beta=beta, d=d)
 
     def log_phi(self, n) -> np.ndarray:
-        """log phi_n for integer n >= 1; any n in family mode."""
+        """log phi_n = b n - gamma log n."""
         n = np.asarray(n, dtype=float)
-        if self.phi is None:
-            return self.b * n - self.gamma * np.log(n)
-        if np.any(n > len(self.phi)):
-            raise ValueError(f"weight array covers n <= {len(self.phi)}")
-        return self.phi.log_w[n.astype(int) - 1]
+        return self.b * n - self.gamma * np.log(n)
 
-    def _series(self, y: float, s: float, what: str) -> float:
-        """sum_n phi_n e^{(y - b) n} / n^s for y <= 0: a polylog in family
-        mode, a certified partial sum in array mode."""
-        if self.phi is None:
-            return polylog(self.gamma + s, math.exp(y))
-        return _certified_series(self.phi.log_w, y - self.b, s, what)
+    def _series(self, y: float, s: float) -> float:
+        """sum_n phi_n e^{(y - b) n} / n^s = g_{gamma+s}(e^y) for y <= 0."""
+        return _polylog_exp(self.gamma + s, y)
 
     def saturation_sum(self, beta_mu: float) -> float:
         """S(mu) = sum_n phi_n e^{beta mu n} / n^{d/2}, finite for mu <= mu_bar."""
         y = beta_mu + self.b  # = beta (mu - mu_bar)
         if y > 0.0:
             raise ValueError(f"beta*mu = {beta_mu} exceeds the saturation point {-self.b}")
-        return self._series(y, self.d / 2.0, "cycle sum over phi_n e^{beta mu n}/n^{d/2}")
+        return self._series(y, self.d / 2.0)
 
 
 @dataclass(frozen=True)
@@ -265,15 +188,11 @@ def dcp_mu(rho: float, beta: float, model: DcpModel, d: int = 3) -> float:
     target = _degeneracy(rho, _thermal_volume(beta, d))
     if target >= model.zeta_dcp:
         return model.mu_bar
-    # bisect in y = beta (mu - mu_bar); S ~ phi_1 e^{-b} e^y as y -> -inf
-    log_psi1 = float(model.log_phi(1)) - model.b
-    lo = min(math.log(target) - log_psi1 - 1.0, -50.0)
-    sum_at = lambda y: model.saturation_sum((y - model.b))
-    for _ in range(60):
-        if sum_at(lo) < target:
-            break
-        lo *= 2.0
-    y = _bisect_increasing(sum_at, lo, 0.0, target)
+    # bisect in y = beta (mu - mu_bar), where S = g_{gamma+d/2}(e^y) <=
+    # e^y / (1 - e^y) as gamma + d/2 > 1: S(lo) <= (target/e) / (1 - e^-50)
+    # < target, so the first bracket holds
+    lo = min(math.log(target) - 1.0, -50.0)
+    y = _bisect_increasing(lambda y: model._series(y, d / 2.0), lo, 0.0, target)
     return model.mu_bar + y / beta
 
 
@@ -298,7 +217,7 @@ def dcp_point(rho: float, beta: float, model: DcpModel, d: int = 3) -> ThermoPoi
     mu = dcp_mu(rho, beta, model, d)
     # f0 = rho mu - sum_n phi_n e^{beta mu n} / n^{1+d/2} / (beta lambda^d)
     y = beta * (mu - model.mu_bar)
-    tail = model._series(y, 1.0 + d / 2.0, "free-energy sum over phi_n e^{beta mu n}/n^{1+d/2}")
+    tail = model._series(y, 1.0 + d / 2.0)
     f_unit = beta * _thermal_volume(beta, d)
     if not f_unit >= sys.float_info.min:
         raise ValueError(f"beta lambda^d = {f_unit!r} underflows: f0 is out of float range")
@@ -353,21 +272,23 @@ def finite_size_scan(
     For each N the box is L = (N/rho)^{1/d}; weights are the ideal q_n,
     multiplied by phi_n when a surrogate model is given.  The condensate
     estimate is the canonical zero-mode occupation
-    <N_0>/N = (1/N) sum_{n=1}^{N} Q_{N-n}/Q_N.
+    <N_0>/N = (1/N) sum_{n=1}^{N} phi_n Q_{N-n}/Q_N, the zero mode's own
+    cycle weight being phi_n (1 for the ideal gas).
     """
     _require_eps(eps)
     rows = []
     for N in N_list:
         params = SystemParams.from_density(d, int(N), rho, beta)
         weights = WeightSequence.ideal(params)
+        log_phi = 0.0
         if model is not None:
             _check_model_context(model, beta, d)
-            n = np.arange(1, params.N + 1)
-            weights = weights.rescaled(model.log_phi(n), tag="custom", rate=model.b)
+            log_phi = model.log_phi(np.arange(1, params.N + 1))
+            weights = weights.rescaled(log_phi, tag="custom", rate=model.b)
         table = build_partition_table(params, weights)
         spectrum = cycle_density_spectrum(table)
         agg = aggregate_macroscopic(spectrum, eps)
-        occupation = float(np.exp(table.log_ratios()).sum())
+        occupation = float(np.exp(log_phi + table.log_ratios()).sum())
         rows.append(
             ScanRow(
                 N=params.N,

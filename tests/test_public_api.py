@@ -33,9 +33,8 @@ def test_star_import_binds_exactly_all():
 
 
 def test_raised_and_returned_types_are_exported():
-    # DcpModel.from_weights raises TruncationError; DcpModel.ideal and
-    # free_energy_bounds raise UnsupportedDimensionError for d < 3
-    assert bosecycles.TruncationError is thermo.TruncationError
+    # DcpModel.ideal and free_energy_bounds raise UnsupportedDimensionError
+    # for d < 3
     assert bosecycles.UnsupportedDimensionError is thermo.UnsupportedDimensionError
     # the return type of free_energy_bounds
     assert "FreeEnergyBounds" in potentials.__all__

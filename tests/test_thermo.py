@@ -9,20 +9,18 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from bosecycles.cycle_engine import WeightSequence
 from bosecycles.special_fn import polylog, thermal_wavelength, zeta
 from bosecycles.thermo import (
     DcpModel,
-    TruncationError,
     UnsupportedDimensionError,
     condensate_fraction,
     dcp_critical_density,
     dcp_mu,
     dcp_point,
-    estimate_rate,
     finite_size_scan,
     ideal_free_energy_density,
     ideal_mu,
@@ -54,6 +52,20 @@ class TestIdealMu:
         mu = ideal_mu(_rho(rho_lam_d, beta), beta, 3)
         assert mu <= 0.0
         assert polylog(1.5, math.exp(beta * mu)) == pytest.approx(rho_lam_d, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "rho_lam_d, rel", [(2.6123, 1e-9), (2.61237, 1e-9), (2.6123753, 1e-7)]
+    )
+    def test_near_threshold_against_mpmath(self, rho_lam_d, rel):
+        # beta mu -> 0 here: y = beta mu must reach the polylog as t = -y,
+        # not rounded through z = e^y
+        mu = ideal_mu(_rho(rho_lam_d), 1.0, 3)
+        with mp.workdps(40):
+            target = mp.mpf(rho_lam_d)
+            want = mp.findroot(
+                lambda y: mp.polylog(1.5, mp.exp(y)) - target, (-1e-3, -1e-20), solver="anderson"
+            )
+        assert mu == pytest.approx(float(want), rel=rel, abs=0.0)
 
     def test_strictly_increasing_below_threshold(self):
         grid = np.linspace(0.1, 2.6, 12)
@@ -228,6 +240,24 @@ class TestDcpModelFamily:
             assert mu <= model.mu_bar
             assert model.saturation_sum(beta * mu) == pytest.approx(rho_lam_d, rel=1e-10)
 
+    @pytest.mark.parametrize("target", [1e-300, 1e-100, 1e-8])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            DcpModel.ideal(1.0, 3),
+            DcpModel.from_family(0.3, 1.0, 0.0, 1.0, 3),
+            DcpModel.from_family(0.3, 1.0, 1.0, 1.0, 3),
+            DcpModel.from_family(0.3, 1.0, 1.0001 - 1.5, 1.0, 3),  # gamma + d/2 = 1.0001
+        ],
+        ids=["ideal", "gamma0", "gamma1", "gamma-near-divergent"],
+    )
+    def test_dilute_round_trip(self, model, target):
+        # the first bracket lo = min(log(target) - 1, -50) already has
+        # S(lo) <= target/e: the bisection needs no widening
+        beta = model.beta
+        mu = dcp_mu(_rho(target, beta), beta, model, 3)
+        assert model.saturation_sum(beta * mu) == pytest.approx(target, rel=1e-9, abs=0.0)
+
     def test_critical_density_with_polynomial_correction(self):
         beta = 0.8
         model = DcpModel.from_family(0.3, 1.0, 1.0, beta, 3)
@@ -265,71 +295,6 @@ class TestDcpModelFamily:
             dcp_critical_density(1.0, model, 4)
 
 
-class TestDcpModelArray:
-    def test_fast_decaying_tail_certifies(self):
-        # phi_n = e^{bn - sqrt(n)}: rate b, stretched-exponential remainder
-        beta, b = 1.0, 0.2
-        n = np.arange(1, 3000 + 1, dtype=float)
-        phi = WeightSequence(b * n - np.sqrt(n), tag="custom", rate=b)
-        model = DcpModel.from_weights(phi, beta, 3)
-        want = float(np.sum(np.exp(-np.sqrt(n)) / n**1.5))
-        assert model.b == b
-        assert model.zeta_dcp == pytest.approx(want, rel=1e-12)
-
-    def test_rate_regression(self):
-        b = 0.15
-        n = np.arange(1, 4000 + 1, dtype=float)
-        exact = WeightSequence(b * n + 0.7, tag="custom")
-        assert estimate_rate(exact) == pytest.approx(b, abs=1e-12)
-        corrected = WeightSequence(b * n - np.sqrt(n), tag="custom")
-        assert estimate_rate(corrected) == pytest.approx(b, abs=0.01)
-
-    def test_regression_estimate_rarely_certifies(self):
-        # the fitted slope sits slightly under the asymptotic rate, so the
-        # adjusted tail eventually grows and certification must refuse
-        b = 0.15
-        n = np.arange(1, 4000 + 1, dtype=float)
-        phi = WeightSequence(b * n - np.sqrt(n), tag="custom")  # rate not supplied
-        with pytest.raises(TruncationError):
-            DcpModel.from_weights(phi, 1.0, 3)
-
-    def test_mu_round_trip_against_direct_sum(self):
-        beta, b = 1.0, 0.2
-        n = np.arange(1, 3000 + 1, dtype=float)
-        phi = WeightSequence(b * n - np.sqrt(n), tag="custom", rate=b)
-        model = DcpModel.from_weights(phi, beta, 3)
-        rho = 0.6 * dcp_critical_density(beta, model, 3)
-        mu = dcp_mu(rho, beta, model, 3)
-        lam = thermal_wavelength(beta)
-        direct = float(np.sum(np.exp(b * n - np.sqrt(n) + beta * mu * n) / n**1.5))
-        assert direct == pytest.approx(rho * lam**3, rel=1e-10)
-
-    def test_mu_bracket_widens(self):
-        # a negligible phi_1 puts the first bracket y = -50 above the target:
-        # S(-50) ~ phi_2 e^{-100} / 2^{3/2} = 1.1e-44 > 1e-50, so the lower
-        # end is doubled before the bisection
-        beta, target = 1.0, 1e-50
-        n = np.arange(1, 1000 + 1, dtype=float)
-        log_phi = np.where(n == 1.0, math.log(1e-30), -0.1 * n)
-        model = DcpModel.from_weights(WeightSequence(log_phi, tag="custom"), beta, 3, b=0.0)
-        assert model.saturation_sum(-50.0) > target
-        mu = dcp_mu(_rho(target, beta), beta, model, 3)
-        assert model.saturation_sum(beta * mu) == pytest.approx(target, rel=1e-9, abs=0.0)
-
-    def test_polynomial_tail_raises_truncation_error(self):
-        # phi == 1 as a bare array cannot certify its polynomial tail
-        phi = WeightSequence(np.zeros(2000), tag="custom", rate=0.0)
-        with pytest.raises(TruncationError):
-            DcpModel.from_weights(phi, 1.0, 3)
-
-    def test_growing_tail_raises_truncation_error(self):
-        # misestimated rate: terms grow at the end
-        n = np.arange(1, 500 + 1, dtype=float)
-        phi = WeightSequence(0.3 * n, tag="custom", rate=0.25)
-        with pytest.raises(TruncationError):
-            DcpModel.from_weights(phi, 1.0, 3)
-
-
 class TestFiniteSizeScan:
     def test_single_particle(self):
         rows = finite_size_scan(0.5, 1.0, 3, [1], eps=0.5)
@@ -357,9 +322,25 @@ class TestFiniteSizeScan:
         assert fracs[-1] < 1e-6
 
     def test_dcp_surrogate_runs(self):
-        beta = 1.0
-        model = DcpModel.from_family(0.1, 1.0, 1.0, beta, 3)
-        rho = 2 * dcp_critical_density(beta, model, 3)
-        rows = finite_size_scan(rho, beta, 3, [64, 256], eps=0.05, model=model)
-        assert rows[0].N == 64
-        assert all(0.0 <= r.macro_fraction <= 1.0 for r in rows)
+        # w_n -> c^n w_n leaves every cycle density and phi_n Q_{N-n}/Q_N
+        # unchanged, so each row must agree with the c = 0 model's; the
+        # condensate estimate stays a fraction only with phi_n in it
+        beta, N_list = 1.0, [256, 1024, 4096]
+        for gamma in (0.0, 1.0):
+            plain = DcpModel.from_family(0.0, 1.0, gamma, beta, 3)
+            rho_c = dcp_critical_density(beta, plain, 3)
+            want = finite_size_scan(2 * rho_c, beta, 3, N_list, eps=0.01, model=plain)
+            assert [r.N for r in want] == N_list
+            assert all(0.0 < r.condensate_estimate <= 1.0 for r in want)
+            for c in (0.3, 2.0):
+                model = DcpModel.from_family(c, 1.0, gamma, beta, 3)
+                rows = finite_size_scan(2 * rho_c, beta, 3, N_list, eps=0.01, model=model)
+                for row, ref in zip(rows, want):
+                    assert row.N == ref.N
+                    np.testing.assert_allclose(row[1:], ref[1:], rtol=1e-13, atol=0.0)
+            for c in (0.0, 0.3, 2.0):
+                model = DcpModel.from_family(c, 1.0, gamma, beta, 3)
+                rows = finite_size_scan(0.5 * rho_c, beta, 3, N_list, eps=0.01, model=model)
+                fracs = [r.macro_fraction for r in rows]
+                assert all(a > b for a, b in zip(fracs, fracs[1:]))
+                assert fracs[-1] < 1e-5

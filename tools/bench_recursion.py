@@ -5,8 +5,8 @@
     python3 tools/bench_recursion.py --mode cli-cold --before ../parent --after . -o BENCH_cli.json
 
 ``--before`` and ``--after`` are source checkouts (each with ``src/`` and
-``perfbench/``).  Each row is measured in a fresh process per checkout
-that imports that checkout's ``src/``.  Before any timing, ``python -m
+``perfbench/``).  Each row is measured in ``PROCESSES`` fresh processes per
+checkout that import that checkout's ``src/``.  Before any timing, ``python -m
 compileall -q`` writes current byte-code caches for both ``src/`` trees:
 with PYTHONDONTWRITEBYTECODE set, an import never refreshes a stale
 cache, so every cold import would compile the edited modules again.
@@ -14,13 +14,12 @@ cache, so every cold import would compile the edited modules again.
 ``--mode recursion`` (the default), for each N of the ladder and each
 rho*lambda^3 (below and above the d = 3 transition), records:
 
-- the wall time of ``build_partition_table`` in ``RECURSION_PROCESSES``
-  fresh processes per checkout, each the best of ``RECURSION_BUILDS``
-  builds below N = 20000 and one build above; ``build_s`` is the median
-  of the per-process minima, ``build_s_q1`` and ``build_s_q3`` their
-  quartiles, and ``build_s_processes`` the minima themselves.  A 2-core
-  box can run a whole process in a slow mode, so one process per side
-  could read a speed-up as a slow-down;
+- the wall time of ``build_partition_table`` in each process, the best
+  of ``RECURSION_BUILDS`` builds below N = 20000 and one build above;
+  ``build_s`` is the median of the per-process minima, ``build_s_q1``
+  and ``build_s_q3`` their quartiles, and ``build_s_processes`` the
+  minima themselves.  A 2-core box can run a whole process in a slow
+  mode, so one process per side could read a speed-up as a slow-down;
 - max_M |log Q_M - ref_M| / max(1, |ref_M|), with ref the row-by-row
   log-space recursion written here, in double precision and, up to
   N = 16000, in long double (first process only: it is deterministic);
@@ -29,12 +28,15 @@ rho*lambda^3 (below and above the d = 3 transition), records:
 ``--mode sampling``, for each (N, draws, side) job, above the transition
 (rho*lambda^3 = 2 zeta(3/2)) and below it (0.7 zeta(3/2)), each side's
 last one a single draw at ``N_MAX``, draws the cycle types from one
-seeded Generator and records the wall time per draw (and of the first,
-cold, draw), the MB of numpy arrays the table holds before and after
-its draws, and the MB of the lists it keeps for the walk after them
-(every list in its instance dict, with their floats; 0 for a table
+seeded Generator and records the mean wall time per draw in each
+process (``per_draw_ms`` is their median, ``per_draw_ms_q1`` and
+``per_draw_ms_q3`` their quartiles, and ``per_draw_ms_processes`` the
+values themselves) and, from the first process, the wall time of the
+first, cold, draw, the MB of numpy arrays the table holds before and
+after its draws, and the MB of the lists it keeps for the walk after
+them (every list in its instance dict, with their floats; 0 for a table
 that keeps none).  Each job counts the draws that are identical on both
-sides.
+sides, from the first process's digests.
 
 In these two modes the checkouts alternate: each process of a row runs
 once per checkout, the one that goes first flipping from process to
@@ -76,7 +78,7 @@ ZETA_3_2 = 2.6123753486854883
 DEGENERACIES = {"below": 0.7 * ZETA_3_2, "above": 2.0 * ZETA_3_2}
 LONGDOUBLE_N_MAX = 16000  # the long-double reference takes ~15 s at 16000, ~90 s at 32000
 RECURSION_ROWS = tuple((N, side) for N in LADDER for side in DEGENERACIES)
-RECURSION_PROCESSES = 5  # fresh processes per row and checkout
+PROCESSES = 5  # fresh processes per row and checkout, in both modes
 RECURSION_BUILDS = 5  # builds per process below N = 20000 (one above)
 SAMPLING_JOBS = (  # (N, draws, side); each side's last N is N_MAX
     (2048, 40, "above"),
@@ -126,10 +128,11 @@ TRACED = {
 UNTRACED = {"cli-cold": ["ops_per_s", "op_p50_s", "op_p90_s", "setup_s", "peak_rss_mb", "pass_rate"]}
 WHAT = {
     "recursion": f"build_partition_table on ideal d = 3 torus weights: median and quartiles of the per-process best "
-    f"build over {RECURSION_PROCESSES} fresh processes per checkout, before and after alternating process by "
+    f"build over {PROCESSES} fresh processes per checkout, before and after alternating process by "
     "process, same machine and arguments",
     "sampling": "sample_cycle_type on ideal d = 3 torus weights at rho*lambda^3 = 2 zeta(3/2) (above) and "
-    "0.7 zeta(3/2) (below), before and after alternating row by row, same machine and arguments",
+    f"0.7 zeta(3/2) (below): median and quartiles of the per-process mean draw time over {PROCESSES} fresh "
+    "processes per checkout, before and after alternating process by process, same machine and arguments",
     "cli-cold": f"median wall time of {CLI_REPS} fresh `python -m bosecycles` runs per cli-cold argv and output "
     "format, before and after alternating run by run, same machine and arguments",
 }
@@ -220,17 +223,17 @@ def measure_row(mode: str, index: int, accuracy: bool = True) -> dict:
 
 
 def measure_rows(trees: dict[str, Path], mode: str) -> dict[str, list[dict]]:
-    """The recursion or sampling rows, per checkout: RECURSION_PROCESSES
-    fresh processes per row and checkout in the recursion mode (the first
-    one also takes the accuracy figures), one in the sampling mode; the
-    checkout that goes first flips process by process and row by row."""
+    """The recursion or sampling rows, per checkout: PROCESSES fresh
+    processes per row and checkout (the first one also takes the accuracy
+    figures and the draw digests); the checkout that goes first flips
+    process by process and row by row."""
     rows: dict[str, list[dict]] = {side: [] for side in trees}
     here = Path(__file__).resolve()
-    processes = RECURSION_PROCESSES if mode == "recursion" else 1
+    timed = "build_s" if mode == "recursion" else "per_draw_ms"
     flip = 0
     for index in range(len(RECURSION_ROWS if mode == "recursion" else SAMPLING_JOBS)):
         runs: dict[str, list[dict]] = {side: [] for side in trees}
-        for rep in range(processes):
+        for rep in range(PROCESSES):
             for side in list(trees)[:: 1 if flip % 2 == 0 else -1]:
                 tree = trees[side]
                 env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree / "perfbench")]))
@@ -242,10 +245,9 @@ def measure_rows(trees: dict[str, Path], mode: str) -> dict[str, list[dict]]:
             flip += 1
         for side, measured in runs.items():
             row = measured[0]
-            if mode == "recursion":
-                minima = [run["build_s"] for run in measured]
-                q1, median, q3 = statistics.quantiles(minima, n=4) if len(minima) > 1 else minima * 3
-                row.update(build_s=median, build_s_q1=q1, build_s_q3=q3, build_s_processes=minima)
+            values = [run[timed] for run in measured]
+            q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+            row.update({timed: median, f"{timed}_q1": q1, f"{timed}_q3": q3, f"{timed}_processes": values})
             rows[side].append(row)
             print(side, json.dumps({k: v for k, v in row.items() if k != "digests"}), file=sys.stderr, flush=True)
     return rows

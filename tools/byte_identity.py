@@ -84,6 +84,7 @@ RUNS = {
     "weights-malformed": ["spectrum", "--rho", "1", "--N", "4", "--weights", "{bad_weights.csv}"],
     "mu-d2": ["mu", "--d", "2", "--rho", "1"],
     "mu-near-critical": ["mu", "--rho-lambda3", "2.6"],  # z in (0.99, 1): the polylog's Euler-Maclaurin sum
+    "mu-closer-critical": ["mu", "--rho-lambda3", "2.61237"],  # beta mu ~ -2e-12, taken as t = -beta mu
     "mu-dilute": ["mu", "--rho", "1e-320"],  # a subnormal fugacity: polylog's series length from logs
     "bounds-box": ["bounds", "--potential", "{box.txt}", "--rho", "0.5"],
     "bounds-box-c-u": ["bounds", "--potential", "{box.txt}", "--rho", "0.5", "--c-u", "0.1"],
